@@ -1,14 +1,15 @@
 # Standard targets; no dependencies beyond the Go toolchain.
 
-.PHONY: all build vet test test-shuffle race test-race fuzz fuzz-short bench experiments profile pprof guard guard-race allocgate cachegate vmgate obsgate servegate storegate examples check clean
+.PHONY: all build vet test test-shuffle race test-race fuzz fuzz-short bench experiments profile pprof guard guard-race allocgate cachegate vmgate obsgate servegate storegate benchbuild examples check clean
 
 all: build vet test
 
 # Everything a PR should pass: build, vet, tests, the allocation,
 # cache-hit, VM, flight-recorder and serving regression gates, the
 # race-enabled guard suite, the full race suite, a shuffled-order test
-# pass and a short fuzz session per target.
-check: all allocgate cachegate vmgate obsgate servegate storegate guard-race test-race test-shuffle fuzz-short
+# pass, the benchmark module's build and tests, and a short fuzz session
+# per target.
+check: all allocgate cachegate vmgate obsgate servegate storegate benchbuild guard-race test-race test-shuffle fuzz-short
 
 build:
 	go build ./...
@@ -129,6 +130,13 @@ servegate:
 storegate:
 	go test -run 'TestStoreGate' -count=1 .
 	go run ./cmd/xbench -run store
+
+# The xpathd benchmark (xpathdbench/) is a Go module of its own that
+# replaces the root module, so the root `go test ./...` skips it: vet
+# and test it here, offline, so a facade change that breaks the
+# benchmark build fails `make check` instead of the benchmark run.
+benchbuild:
+	cd xpathdbench && export GOFLAGS= GOPROXY=off && go vet ./... && go test ./...
 
 # CPU + heap profiles of the hot evaluation paths, via the alloc
 # experiment's warm workloads. Inspect with `go tool pprof cpu.out`

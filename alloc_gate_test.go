@@ -24,7 +24,7 @@ import (
 // warm workloads over the shared 4000-node random document, with the
 // maximum tolerated allocations per warm evaluation. Measured values as
 // of EXP-ALLOC: cvt/descendant-chain 3, cvt/pred 197, corelinear/path 2,
-// corelinear/pred 4 (seed: 24, 3598, 32, 26).
+// corelinear/pred 4 (seed: 24, 3598, 32, 26); streaming/path 11.
 var allocCeilings = []struct {
 	name    string
 	query   string
@@ -35,6 +35,10 @@ var allocCeilings = []struct {
 	{"cvt/pred", "//a[b]/c", EngineCVT, 240},
 	{"corelinear/path", "/descendant::a/child::b/descendant::c", EngineCoreLinear, 4},
 	{"corelinear/pred", "//a[b and not(c)]", EngineCoreLinear, 8},
+	// Bound to the streaming NFA through the plan binding. The ceiling
+	// sits below the 20 allocs a per-evaluation NFA compile costs, so it
+	// pins the memoized program.
+	{"streaming/path", "/descendant::a/child::b", EngineAuto, 14},
 }
 
 func TestAllocGate(t *testing.T) {

@@ -89,18 +89,24 @@ func (q *Query) analyze(ctx Context, opts EvalOptions) (AnalyzeResult, error) {
 	}
 	cacheOutcome := ""
 	if opts.Cache != nil && ctx.Node != nil {
-		if opts.Cache.Contains(q.cacheKey(ctx, opts)) {
+		// Probe the key an untraced run would use: EngineAuto resolves
+		// through the plan binding, not the traced tree engine.
+		probe := opts
+		if probe.Engine == EngineAuto {
+			probe.Engine = q.plan().Bound
+		}
+		if opts.Cache.Contains(q.cacheKey(ctx, probe)) {
 			cacheOutcome = "bypass (analysis traces); entry present — an untraced run would hit"
 		} else {
 			cacheOutcome = "bypass (analysis traces); no entry — an untraced run would miss"
 		}
 	}
 	return AnalyzeResult{
-		Engine:   q.resolveEngine(opts.Engine),
-		Value:    v,
-		Wall:     time.Since(start),
-		Ops:      opts.Counter.Ops() - startOps,
-		Subexprs: obs.Subexprs(q.Expr),
+		Engine:       q.resolveEngine(opts.Engine),
+		Value:        v,
+		Wall:         time.Since(start),
+		Ops:          opts.Counter.Ops() - startOps,
+		Subexprs:     obs.Subexprs(q.Expr),
 		Profile:      prof,
 		Metrics:      opts.Metrics.Snapshot(),
 		CacheOutcome: cacheOutcome,
@@ -164,16 +170,8 @@ func (c *Compiled) ExplainAnalyze(d *Document) (string, error) {
 }
 
 // ExplainAnalyzeOptions is Compiled.ExplainAnalyze with explicit context
-// and options.
+// and options. Analysis always traces, so EngineAuto profiles the tree
+// engine the plan's fragment recommends (see Query.EvalOptions).
 func (c *Compiled) ExplainAnalyzeOptions(ctx Context, opts EvalOptions) (string, error) {
-	if opts.Engine == EngineAuto {
-		opts.Engine = c.Bound
-		if opts.Engine == EngineStreaming || opts.Engine == EngineVM {
-			// Analysis always traces, and neither the streaming NFA nor
-			// the flat bytecode has per-subexpression spans; profile the
-			// recommended tree engine instead.
-			opts.Engine = c.treeEngine()
-		}
-	}
-	return (&Query{Source: c.Source, Expr: c.plan, Class: c.planClass}).ExplainAnalyzeOptions(ctx, opts)
+	return c.planQuery.ExplainAnalyzeOptions(ctx, opts)
 }

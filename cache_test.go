@@ -233,37 +233,48 @@ func TestCacheSharedAcrossIdenticalDocuments(t *testing.T) {
 
 // ExplainAnalyze reports the run's relationship to an attached cache;
 // without one the report is unchanged (golden tests elsewhere rely on
-// that).
+// that). Ad-hoc and prepared analyses probe the key an untraced
+// EngineAuto run uses, the bound engine's, not the traced tree engine's.
 func TestExplainAnalyzeCacheOutcome(t *testing.T) {
 	d := cacheTestDoc(t)
-	q := MustCompile("//a[b]/c")
-	rc := NewResultCache(0, 0)
 	ctx := RootContext(d)
+	type analyzable interface {
+		EvalOptions(Context, EvalOptions) (Value, error)
+		ExplainAnalyzeOptions(Context, EvalOptions) (string, error)
+	}
+	for _, tc := range []struct {
+		name string
+		q    analyzable
+	}{
+		{"adhoc", MustCompile("//a[b]/c")},
+		{"prepared", MustPrepare("//a[b]/c")},
+	} {
+		q, rc := tc.q, NewResultCache(0, 0)
+		plain, err := q.ExplainAnalyzeOptions(ctx, EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(plain, "cache:") {
+			t.Fatalf("%s: report mentions the cache with no cache attached", tc.name)
+		}
 
-	plain, err := q.ExplainAnalyzeOptions(ctx, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plain, "cache:") {
-		t.Fatal("report mentions the cache with no cache attached")
-	}
-
-	cold, err := q.ExplainAnalyzeOptions(ctx, EvalOptions{Cache: rc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(cold, "would miss") {
-		t.Fatalf("cold analyzed report missing cache outcome:\n%s", cold)
-	}
-	if _, err := q.EvalOptions(ctx, EvalOptions{Cache: rc}); err != nil { // populate
-		t.Fatal(err)
-	}
-	warm, err := q.ExplainAnalyzeOptions(ctx, EvalOptions{Cache: rc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(warm, "would hit") {
-		t.Fatalf("warm analyzed report missing cache outcome:\n%s", warm)
+		cold, err := q.ExplainAnalyzeOptions(ctx, EvalOptions{Cache: rc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(cold, "would miss") {
+			t.Fatalf("%s: cold analyzed report missing cache outcome:\n%s", tc.name, cold)
+		}
+		if _, err := q.EvalOptions(ctx, EvalOptions{Cache: rc}); err != nil { // populate
+			t.Fatal(err)
+		}
+		warm, err := q.ExplainAnalyzeOptions(ctx, EvalOptions{Cache: rc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(warm, "would hit") {
+			t.Fatalf("%s: warm analyzed report missing cache outcome:\n%s", tc.name, warm)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,9 +19,10 @@ func captureStdout(t *testing.T, f func()) string {
 	os.Stdout = w
 	done := make(chan string)
 	go func() {
-		buf := make([]byte, 1<<20)
-		n, _ := r.Read(buf)
-		done <- string(buf[:n])
+		// Drain to EOF: one Read returns only the first chunk the pipe
+		// holds, and the experiments print in many writes.
+		out, _ := io.ReadAll(r)
+		done <- string(out)
 	}()
 	f()
 	w.Close()

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	xpath "xpathcomplexity"
-	"xpathcomplexity/internal/vm"
 	"xpathcomplexity/internal/xmltree"
 )
 
@@ -34,26 +33,10 @@ type vmRow struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// dispatchRow is one switch-vs-function-table dispatch measurement
-// (EXP-VM2): the same optimized program run by the two interpreter
-// loops.
-type dispatchRow struct {
-	Name string `json:"name"`
-	// SwitchNs and TableNs are warm per-evaluation wall times of the
-	// default switch loop and the function-table loop.
-	SwitchNs int64 `json:"switch_ns_per_op"`
-	TableNs  int64 `json:"table_ns_per_op"`
-	// TableOverSwitch is TableNs / SwitchNs (>1 means the switch wins).
-	TableOverSwitch float64 `json:"table_over_switch"`
-}
-
 // vmReport is the top-level BENCH_VM.json document.
 type vmReport struct {
 	Experiment string  `json:"experiment"`
 	Rows       []vmRow `json:"rows"`
-	// Dispatch is the EXP-VM2 switch-vs-table comparison over the same
-	// workloads at the middle document size.
-	Dispatch []dispatchRow `json:"dispatch"`
 }
 
 // vmWorkloads are the EXP-ALLOC warm families, each swept over three
@@ -172,7 +155,6 @@ func expVM(seed int64) {
 		}
 	}
 	t.print()
-	report.Dispatch = expVMDispatch()
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		panic(err)
@@ -181,55 +163,4 @@ func expVM(seed int64) {
 		panic(err)
 	}
 	fmt.Println("  wrote BENCH_VM.json")
-}
-
-// expVMDispatch measures the EXP-VM2 dispatch experiment: the same
-// optimized bytecode run by the default switch loop and by the
-// function-table (computed-goto analogue) loop, bypassing the facade so
-// nothing but the interpreter loop differs. The switch loop stays the
-// production default; this table documents the measured gap.
-func expVMDispatch() []dispatchRow {
-	var rows []dispatchRow
-	t := newTable("workload", "switch ns/op", "table ns/op", "table/switch")
-	for _, w := range vmWorkloads {
-		size := w.sizes[1]
-		d := w.doc(size)
-		ctx := xpath.RootContext(d)
-		c, err := xpath.Prepare(w.query)
-		if err != nil {
-			panic(err)
-		}
-		prog, err := c.VMProgram()
-		if err != nil {
-			panic(err)
-		}
-		measure := func(table bool) int64 {
-			opts := vm.RunOptions{TableDispatch: table}
-			if _, err := prog.Run(ctx, opts); err != nil { // prime pools
-				panic(err)
-			}
-			best := int64(0)
-			for r := 0; r < 3; r++ {
-				res := testing.Benchmark(func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if _, err := prog.Run(ctx, opts); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-				if ns := res.NsPerOp(); best == 0 || ns < best {
-					best = ns
-				}
-			}
-			return best
-		}
-		row := dispatchRow{Name: fmt.Sprintf("%s/%d", w.family, len(d.Nodes))}
-		row.SwitchNs = measure(false)
-		row.TableNs = measure(true)
-		row.TableOverSwitch = float64(row.TableNs) / float64(row.SwitchNs)
-		rows = append(rows, row)
-		t.add(row.Name, row.SwitchNs, row.TableNs, fmt.Sprintf("%.2fx", row.TableOverSwitch))
-	}
-	t.print()
-	return rows
 }

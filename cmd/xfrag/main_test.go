@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -16,9 +17,10 @@ func capture(t *testing.T, f func() error) (string, error) {
 	os.Stdout = w
 	done := make(chan string)
 	go func() {
-		buf := make([]byte, 1<<18)
-		n, _ := r.Read(buf)
-		done <- string(buf[:n])
+		// Drain to EOF: one Read returns only the first chunk the pipe
+		// holds.
+		out, _ := io.ReadAll(r)
+		done <- string(out)
 	}()
 	ferr := f()
 	w.Close()

@@ -5,19 +5,18 @@ import (
 	"fmt"
 	"sync"
 
-	"xpathcomplexity/internal/eval/streaming"
 	"xpathcomplexity/internal/fragment"
 	"xpathcomplexity/internal/vm"
-	"xpathcomplexity/internal/xpath/ast"
 	"xpathcomplexity/internal/xpath/rewrite"
 )
 
 // Compiled is a fully prepared query: parsed, classified, rewritten into
-// an engine-bound plan, and bound to the engine EngineAuto would select.
-// Unlike Query, whose auto-selection re-derives the engine on every
-// call, a Compiled resolves it once at preparation time; together with
-// the plan cache this makes repeated evaluation of the same query text
-// skip lexing, parsing, classification and rewriting entirely.
+// an engine-bound plan, and bound to the engine EngineAuto selects. The
+// binding is the only resolution of EngineAuto: it is made once per
+// query, and an ad-hoc Query evaluated with EngineAuto runs through the
+// same memoized Compiled. Together with the plan cache this makes
+// repeated evaluation of the same query text skip lexing, parsing,
+// classification, rewriting and engine lowering entirely.
 //
 // A Compiled is immutable and safe for concurrent use.
 type Compiled struct {
@@ -26,17 +25,18 @@ type Compiled struct {
 	// Bound is the engine EngineAuto resolves to for this query's plan.
 	Bound Engine
 
-	// plan is the rewritten expression the bound engine evaluates: the
-	// Remark 5.2 predicate fold is applied when it moves the query into
-	// a cheaper fragment, otherwise the plan is the parsed expression.
-	plan ast.Expr
-	// planClass is the classification of plan (== Query.Class when no
-	// rewrite applied).
-	planClass Classification
-	// planQuery wraps plan as a Query once at bind time, so EvalOptions
-	// does not rebuild (and reallocate) one per evaluation. It is
-	// immutable, like the rest of the Compiled.
+	// planQuery is the plan the bound engine evaluates: the rewritten
+	// expression (descendant-step collapse, and the Remark 5.2 predicate
+	// fold when it moves the query into a cheaper fragment) with its
+	// classification, or the Query itself when no rewrite applied. It
+	// carries the memoized VM and streaming lowerings the bound engine
+	// runs.
 	planQuery *Query
+	// vmIneligible is the vm.ineligible.<reason> counter EngineAuto
+	// evaluations bump when the plan binds to a tree engine ("" when it
+	// binds to the NFA or the VM), built once here so evaluation never
+	// concatenates.
+	vmIneligible string
 }
 
 // bind builds the engine-bound plan for a compiled query: it folds
@@ -44,50 +44,52 @@ type Compiled struct {
 // position-free) when the folded form classifies into a fragment with a
 // cheaper recommended engine, then resolves EngineAuto's choice.
 func bind(q *Query) *Compiled {
-	plan, cls := q.Expr, q.Class
+	plan, cls, rewritten := q.Expr, q.Class, false
 	// Collapse '//' step pairs into single descendant steps so the
 	// engines see tag-targeted steps instead of whole-tree node()
 	// frontiers; the rewrite guards itself against positional
 	// predicates, so the collapsed plan is always equivalent.
 	if collapsed, changed := rewrite.CollapseDescendantSteps(plan); changed {
-		plan, cls = collapsed, fragment.Classify(collapsed)
+		plan, cls, rewritten = collapsed, fragment.Classify(collapsed), true
 	}
 	if folded, changed := rewrite.FoldIteratedPredicates(plan); changed {
 		if c2 := fragment.Classify(folded); c2.RecommendEngine() == fragment.EngineCoreLinear &&
 			cls.RecommendEngine() != fragment.EngineCoreLinear {
-			plan, cls = folded, c2
+			plan, cls, rewritten = folded, c2, true
 		}
 	}
-	bound := EngineCVT
-	if cls.RecommendEngine() == fragment.EngineCoreLinear {
-		bound = EngineCoreLinear
+	c := &Compiled{Query: q, planQuery: q}
+	if rewritten {
+		c.planQuery = &Query{Source: q.Source, Expr: plan, Class: cls}
+		// The rewritten plan's own binding is this one, so EngineAuto
+		// resolves identically through either Query.
+		c.planQuery.planOnce.Do(func() { c.planQuery.compiled = c })
 	}
-	planQuery := &Query{Source: q.Source, Expr: plan, Class: cls}
-	// Counting-fragment plans (Core XPath plus countable positional
-	// predicates) bind to the bytecode VM — the corelinear algorithm
-	// with its interpretation overhead compiled away and peephole
-	// optimized. The lowering runs here, at bind time, so the plan
-	// cache carries the optimized bytecode alongside the rewritten AST.
-	if _, err := planQuery.vmProgram(); err == nil {
-		bound = EngineVM
+	// Engine priority: the single-pass NFA for downward predicate-free
+	// paths, then the bytecode VM for counting-fragment plans (Core XPath
+	// plus countable positional predicates: the corelinear algorithm with
+	// its interpretation overhead compiled away and peephole optimized),
+	// then the fragment's tree engine. Both lowerings are memoized on
+	// the plan's Query, so the plan cache carries the program the bound
+	// engine runs alongside the rewritten AST.
+	if _, err := c.planQuery.streamProgram(); err == nil {
+		c.Bound = EngineStreaming
+	} else if _, err := c.planQuery.vmProgram(); err == nil {
+		c.Bound = EngineVM
+	} else {
+		c.Bound = c.treeEngine()
+		if reason := vm.Reason(err); reason != "" {
+			c.vmIneligible = "vm.ineligible." + reason
+		}
 	}
-	// Downward predicate-free paths bind to the single-pass NFA — the
-	// same choice the EngineAuto ladder makes dynamically, resolved once
-	// here.
-	if _, err := streaming.Compile(plan); err == nil {
-		bound = EngineStreaming
-	}
-	return &Compiled{
-		Query: q, Bound: bound, plan: plan, planClass: cls,
-		planQuery: planQuery,
-	}
+	return c
 }
 
 // treeEngine is the tree-based engine the plan's fragment recommends —
-// the binding used for runs the streaming NFA cannot serve (tracing and
-// ExplainAnalyze need per-subexpression spans).
+// the binding used for runs the streaming NFA and the VM cannot serve
+// (tracing and ExplainAnalyze need per-subexpression spans).
 func (c *Compiled) treeEngine() Engine {
-	if c.planClass.RecommendEngine() == fragment.EngineCoreLinear {
+	if c.planQuery.Class.RecommendEngine() == fragment.EngineCoreLinear {
 		return EngineCoreLinear
 	}
 	return EngineCVT
@@ -123,13 +125,14 @@ func (c *Compiled) EvalRoot(d *Document) (Value, error) {
 
 // EvalOptions evaluates the prepared plan with explicit options. With
 // Engine left as EngineAuto the preparation-time engine binding is
-// used; an explicit engine overrides the binding but still evaluates
+// used, and a plan that missed the VM bumps its vm.ineligible.<reason>
+// counter; an explicit engine overrides the binding but still evaluates
 // the rewritten plan — the plan rewrites guard themselves (positional
 // predicates block them), so the plan is equivalent under every engine.
 //
 // With a Cache attached the result-cache key is built from the original
 // query text and the resolved engine binding, so prepared and ad-hoc
-// evaluations of the same text against the same engine share entries.
+// evaluations of the same text share entries.
 func (c *Compiled) EvalOptions(ctx Context, opts EvalOptions) (Value, error) {
 	if opts.Engine == EngineAuto {
 		opts.Engine = c.Bound
@@ -138,6 +141,11 @@ func (c *Compiled) EvalOptions(ctx Context, opts EvalOptions) (Value, error) {
 			// spans to trace; traced runs use the tree engine the fragment
 			// recommends instead.
 			opts.Engine = c.treeEngine()
+		}
+		if c.vmIneligible != "" && opts.Metrics != nil {
+			// Why the plan missed the VM, for fleet-level tallies of
+			// which fragment gaps would pay to close next.
+			opts.Metrics.Counter(c.vmIneligible).Inc()
 		}
 	}
 	return c.planQuery.EvalOptions(ctx, opts)
@@ -225,7 +233,7 @@ func (pc *PlanCache) Prepare(query string) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := bind(q)
+	c := q.plan()
 
 	pc.mu.Lock()
 	defer pc.mu.Unlock()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"xpathcomplexity/internal/eval/streaming"
 	"xpathcomplexity/internal/fragment"
 	"xpathcomplexity/internal/xpath/ast"
 	"xpathcomplexity/internal/xpath/rewrite"
@@ -73,7 +72,7 @@ func (q *Query) Explain() string {
 	fmt.Fprintf(&b, "evaluate:   %s engine\n", engineName(cls.RecommendEngine()))
 	fmt.Fprintf(&b, "decide:     %s engine (Singleton-Success, Definition 5.3)\n",
 		engineName(cls.RecommendDecisionEngine()))
-	if _, err := streaming.Compile(q.Expr); err == nil {
+	if _, err := q.streamProgram(); err == nil {
 		b.WriteString("stream:     eligible — downward PF evaluates in one pass with O(depth) memory\n")
 	}
 	if prog, err := q.vmProgram(); err == nil {

@@ -147,32 +147,31 @@ func TestFlightCacheOutcomes(t *testing.T) {
 	}
 }
 
-// TestFlightAutoPath: EngineAuto runs record the engine that served and
-// the rungs that rejected the query.
-func TestFlightAutoPath(t *testing.T) {
+// TestFlightAutoEngine: EngineAuto runs record the engine the plan
+// binding resolved to, once per evaluation.
+func TestFlightAutoEngine(t *testing.T) {
 	d := mustDoc(t, `<r><a><b/></a></r>`)
 	ctx := evalctx.Root(d)
 	fr := captureAll(16)
 
-	// Downward predicate-free: the streaming NFA takes it on the first rung.
-	if _, err := MustCompile("//a/b").EvalOptions(ctx, EvalOptions{Flight: fr}); err != nil {
-		t.Fatal(err)
-	}
-	// Predicated Core XPath: not streamable, not decision-shaped — the
-	// ladder falls through streaming to the VM.
-	if _, err := MustCompile("//a[b]").EvalOptions(ctx, EvalOptions{Flight: fr}); err != nil {
-		t.Fatal(err)
+	for _, q := range []string{
+		"//a/b",                        // downward predicate-free: the streaming NFA
+		"//a[b]",                       // predicated Core XPath: the bytecode VM
+		"//a[position() + 1 = last()]", // outside the counting fragment: cvt
+	} {
+		if _, err := MustCompile(q).EvalOptions(ctx, EvalOptions{Flight: fr}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	recs := fr.Slow()
-	if len(recs) != 2 {
-		t.Fatalf("%d records, want 2", len(recs))
+	if len(recs) != 3 {
+		t.Fatalf("%d records, want 3", len(recs))
 	}
-	if recs[0].Engine != "streaming" || recs[0].AutoPath != "" {
-		t.Errorf("streamable query recorded engine=%q auto_path=%q, want streaming with empty path", recs[0].Engine, recs[0].AutoPath)
-	}
-	if recs[1].Engine != "vm" || recs[1].AutoPath != "streaming" {
-		t.Errorf("predicated query recorded engine=%q auto_path=%q, want vm with path streaming", recs[1].Engine, recs[1].AutoPath)
+	for i, want := range []string{"streaming", "vm", "cvt"} {
+		if recs[i].Engine != want {
+			t.Errorf("record %d (%s) engine = %q, want %q", i, recs[i].Query, recs[i].Engine, want)
+		}
 	}
 }
 

@@ -233,98 +233,69 @@ func TestGuardPanicRecovery(t *testing.T) {
 	}
 }
 
-// The EngineAuto ladder records every selection and fallback in metrics.
+// EngineAuto evaluations are tallied under the engine the plan binding
+// resolved to (engine.<name>.evals); plans that miss the VM add their
+// vm.ineligible.<reason>.
 func TestGuardAutoLadderMetrics(t *testing.T) {
 	d := guardChainDoc(t, 5)
 	ctx := RootContext(d)
-
-	t.Run("streaming-selected", func(t *testing.T) {
+	runAuto := func(t *testing.T, q string) (Value, MetricsSnapshot) {
+		t.Helper()
 		m := NewMetrics()
-		v, err := MustCompile("/descendant::a/child::b").EvalOptions(ctx, EvalOptions{Metrics: m})
+		v, err := MustCompile(q).EvalOptions(ctx, EvalOptions{Metrics: m})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return v, m.Snapshot()
+	}
+	wantEvals := func(t *testing.T, s MetricsSnapshot, engine string) {
+		t.Helper()
+		for _, e := range []string{"streaming", "vm", "corelinear", "cvt", "nauxpda"} {
+			want := int64(0)
+			if e == engine {
+				want = 1
+			}
+			if got := s.Counter("engine." + e + ".evals"); got != want {
+				t.Errorf("engine.%s.evals = %d, want %d; counters: %v", e, got, want, s.Counters)
+			}
+		}
+	}
+
+	t.Run("streaming-selected", func(t *testing.T) {
+		v, s := runAuto(t, "/descendant::a/child::b")
 		if len(v.(NodeSet)) != 5 {
 			t.Errorf("result = %d nodes, want 5", len(v.(NodeSet)))
 		}
-		s := m.Snapshot()
-		if s.Counter("auto.selected.streaming") != 1 {
-			t.Errorf("auto.selected.streaming = %d, want 1; counters: %v", s.Counter("auto.selected.streaming"), s.Counters)
-		}
-		if s.Counter("engine.streaming.evals") != 1 {
-			t.Errorf("engine.streaming.evals = %d, want 1", s.Counter("engine.streaming.evals"))
-		}
+		wantEvals(t, s, "streaming")
 	})
 
-	t.Run("fallback-to-vm", func(t *testing.T) {
-		m := NewMetrics()
-		if _, err := MustCompile("//a[not(b)]").EvalOptions(ctx, EvalOptions{Metrics: m}); err != nil {
-			t.Fatal(err)
-		}
-		s := m.Snapshot()
-		if s.Counter("auto.fallback.streaming") != 1 {
-			t.Errorf("auto.fallback.streaming = %d, want 1; counters: %v", s.Counter("auto.fallback.streaming"), s.Counters)
-		}
-		if s.Counter("auto.selected.vm") != 1 {
-			t.Errorf("auto.selected.vm = %d, want 1; counters: %v", s.Counter("auto.selected.vm"), s.Counters)
-		}
-		if s.Counter("engine.vm.evals") != 1 {
-			t.Errorf("engine.vm.evals = %d, want 1; counters: %v", s.Counter("engine.vm.evals"), s.Counters)
-		}
+	t.Run("vm-selected", func(t *testing.T) {
+		_, s := runAuto(t, "//a[not(b)]")
+		wantEvals(t, s, "vm")
 	})
 
-	t.Run("nauxpda-on-decision-queries", func(t *testing.T) {
-		// The decision rung fires only for statically boolean pWF/pXPath
-		// queries — existence checks, where the non-materializing LOGCFL
-		// engine is the right tool.
-		m := NewMetrics()
-		v, err := MustCompile("boolean(//a[position() = last()])").EvalOptions(ctx, EvalOptions{Metrics: m})
-		if err != nil {
-			t.Fatal(err)
-		}
+	t.Run("decision-queries-bind-statically", func(t *testing.T) {
+		// A statically boolean pWF query binds like any other plan: the
+		// positional predicate is in the counting fragment, so the VM
+		// serves it, and the LOGCFL decision procedure stays explicit.
+		v, s := runAuto(t, "boolean(//a[position() = last()])")
 		if v != Boolean(true) {
 			t.Errorf("result = %v, want true", v)
 		}
-		s := m.Snapshot()
-		if s.Counter("auto.selected.nauxpda") != 1 {
-			t.Errorf("auto.selected.nauxpda = %d, want 1; counters: %v", s.Counter("auto.selected.nauxpda"), s.Counters)
-		}
-
-		// The same query materialized is a node-set: the rung is skipped.
-		// The positional predicate is in the counting fragment, so the
-		// ladder lands on the bytecode VM.
-		m2 := NewMetrics()
-		if _, err := MustCompile("//a[position() = last()]").EvalOptions(ctx, EvalOptions{Metrics: m2}); err != nil {
-			t.Fatal(err)
-		}
-		s2 := m2.Snapshot()
-		if s2.Counter("auto.selected.nauxpda") != 0 {
-			t.Errorf("materializing query took the nauxpda rung; counters: %v", s2.Counters)
-		}
-		if s2.Counter("auto.selected.vm") != 1 {
-			t.Errorf("auto.selected.vm = %d, want 1; counters: %v", s2.Counter("auto.selected.vm"), s2.Counters)
-		}
+		wantEvals(t, s, "vm")
 
 		// A positional shape outside the counting fragment misses the VM
-		// rung with a tagged reason and lands on cvt.
-		m3 := NewMetrics()
-		if _, err := MustCompile("//a[position() + 1 = last()]").EvalOptions(ctx, EvalOptions{Metrics: m3}); err != nil {
-			t.Fatal(err)
+		// with a tagged reason and binds to cvt.
+		_, s = runAuto(t, "//a[position() + 1 = last()]")
+		if got := s.Counter("vm.ineligible.positional-shape"); got != 1 {
+			t.Errorf("vm.ineligible.positional-shape = %d, want 1; counters: %v", got, s.Counters)
 		}
-		s3 := m3.Snapshot()
-		if s3.Counter("vm.ineligible.positional-shape") != 1 {
-			t.Errorf("vm.ineligible.positional-shape = %d, want 1; counters: %v",
-				s3.Counter("vm.ineligible.positional-shape"), s3.Counters)
-		}
-		if s3.Counter("auto.selected.cvt") != 1 {
-			t.Errorf("auto.selected.cvt = %d, want 1; counters: %v", s3.Counter("auto.selected.cvt"), s3.Counters)
-		}
+		wantEvals(t, s, "cvt")
 	})
 
 	t.Run("resource-error-not-masked", func(t *testing.T) {
-		// A budget verdict inside a ladder stage is the user's stop
-		// request: it must surface, not trigger a retry on a slower
-		// engine.
+		// A budget verdict is the user's stop request: it must surface,
+		// not trigger a retry on a slower engine.
 		m := NewMetrics()
 		big := guardChainDoc(t, 84)
 		_, err := MustCompile(pathologicalQuery).EvalOptions(RootContext(big), EvalOptions{
@@ -339,14 +310,14 @@ func TestGuardAutoLadderMetrics(t *testing.T) {
 	})
 }
 
-// The ladder's answers are indistinguishable from the reference engine's.
+// EngineAuto's answers are indistinguishable from the reference engine's.
 func TestGuardAutoMatchesCVT(t *testing.T) {
 	d := guardChainDoc(t, 7)
 	ctx := RootContext(d)
 	for _, src := range []string{
-		"/descendant::a/child::b", // streaming rung
-		"//a//b//c",               // streaming rung, descendant chain
-		"//a[b][c]",               // tree rung via predicates
+		"/descendant::a/child::b", // streaming
+		"//a//b//c",               // streaming, descendant chain
+		"//a[b][c]",               // vm via predicates
 		"//a[not(b)]",             // negation
 		"//a[position()=2]",       // positional
 		"count(//a)",              // function

@@ -66,8 +66,8 @@ func (e *BudgetError) Is(target error) bool {
 
 // IsResourceError reports whether err is a guard or counter verdict —
 // cancellation, deadline, or any budget limit — as opposed to a semantic
-// evaluation error. Engine-selection fallback must not retry on these:
-// the user asked for the evaluation to stop.
+// evaluation error. Error classification (the result cache, the flight
+// recorder) keys on it: the user asked for the evaluation to stop.
 func IsResourceError(err error) bool {
 	return errors.Is(err, ErrCanceled) ||
 		errors.Is(err, ErrBudgetExceeded) ||

@@ -103,8 +103,8 @@ func Compile(expr ast.Expr) (*Program, error) {
 		}
 		if len(prog.steps) >= maxSteps {
 			// Wrap ErrNotStreamable like every other rejection, so
-			// errors.Is-based fallback treats an oversized query as
-			// "outside the fragment", not as a fatal evaluation error.
+			// callers matching it treat an oversized query as "outside
+			// the fragment", not as a fatal evaluation error.
 			return nil, fmt.Errorf("%w: query exceeds %d steps", ErrNotStreamable, maxSteps)
 		}
 		prog.steps = append(prog.steps, step{kind: pending, test: s.Test})

@@ -208,9 +208,9 @@ func TestStepLimit(t *testing.T) {
 		t.Fatal("64+ step query should be rejected")
 	}
 	// The rejection is a capacity limit of this NFA encoding, not a
-	// fragment violation — but callers doing errors.Is(err,
-	// ErrNotStreamable) fallback must still catch it, or a 64-step PF
-	// query would abort instead of falling through to a tree engine.
+	// fragment violation — but callers matching errors.Is(err,
+	// ErrNotStreamable) must still see it as outside the fragment, so a
+	// 64-step PF query binds to another engine instead of aborting.
 	if !errors.Is(err, ErrNotStreamable) {
 		t.Errorf("step-limit rejection = %v, want errors.Is ErrNotStreamable", err)
 	}

@@ -21,7 +21,7 @@ func goldenSnapshot() obs.Snapshot {
 	m := obs.NewMetrics()
 	m.Counter("eval.canceled").Add(3)
 	m.Counter("engine.cvt.ops").Add(1234)
-	m.Counter("auto.selected.vm").Add(7)
+	m.Counter("engine.vm.evals").Add(7)
 	m.Counter("2weird-name.ok").Add(1)
 	m.Gauge("plan_cache.size").Set(12)
 	m.Gauge("index.builds").Set(2)

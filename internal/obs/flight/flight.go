@@ -1,7 +1,7 @@
 // Package flight is the per-evaluation flight recorder: an always-on,
 // bounded, lock-cheap record of what the engines actually executed —
 // query, engine, fragment, duration, operations, result cardinality,
-// cache outcome, the EngineAuto fallback path, and how the run ended.
+// cache outcome, and how the run ended.
 //
 // Two bounded stores back it:
 //
@@ -113,9 +113,9 @@ type Record struct {
 	Unix int64 `json:"unix_nanos"`
 	// Query is the query source text.
 	Query string `json:"query"`
-	// Engine is the engine that produced the result — the concrete
-	// engine for direct and Compiled-bound runs, the EngineAuto ladder's
-	// selection for auto runs, or "auto" for a cache hit (no engine ran).
+	// Engine is the engine that produced the result: the explicit
+	// engine, or the one EngineAuto's plan binding resolved to. A cache
+	// hit names the engine whose cached result it served.
 	Engine string `json:"engine"`
 	// Fragment is the query's minimal Figure 1 fragment.
 	Fragment string `json:"fragment"`
@@ -129,10 +129,6 @@ type Record struct {
 	Card int `json:"card"`
 	// Cache is the result-cache outcome.
 	Cache CacheOutcome `json:"cache"`
-	// AutoPath names the EngineAuto rungs that rejected the query before
-	// one accepted it ("" when the first choice served, or the engine
-	// was explicit). Example: "streaming,vm".
-	AutoPath string `json:"auto_path,omitempty"`
 	// Err and ErrKind describe a failed run ("" on success); ErrKind is
 	// one of "canceled", "budget", "failed".
 	Err     string `json:"err,omitempty"`

@@ -251,25 +251,34 @@ func (s *regShard) fitLocked(maxBytes int64) []uint64 {
 func (r *Registry) Get(fp uint64) (*xpath.Document, bool) {
 	s := r.shard(fp)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	el, ok := s.docs[fp]
 	if !ok {
 		s.misses++
+		s.mu.Unlock()
 		return nil, false
 	}
 	s.order.MoveToFront(el)
 	s.hits++
 	e := el.Value.(*regEntry)
 	e.hits++
-	if e.doc == nil {
-		doc := e.store.Document()
-		doc.Index()
-		s.rehydrations++
-		s.bytes += doc.ResidentBytes() - e.bytes
-		e.bytes = doc.ResidentBytes()
-		e.doc = doc
+	doc := e.doc
+	if doc != nil {
+		s.mu.Unlock()
+		return doc, true
 	}
-	return e.doc, true
+	doc = e.store.Document()
+	doc.Index()
+	s.rehydrations++
+	s.bytes += doc.ResidentBytes() - e.bytes
+	e.bytes = doc.ResidentBytes()
+	e.doc = doc
+	// The rehydrated view counts against the shard budget like a fresh
+	// admission: colder entries are demoted or evicted, never this one
+	// (it is at the front).
+	invalidate := s.fitLocked(r.maxBytes)
+	s.mu.Unlock()
+	r.invalidateAll(invalidate)
+	return doc, true
 }
 
 // Delete removes a resident document and invalidates its result-cache

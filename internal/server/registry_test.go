@@ -218,6 +218,51 @@ func TestRegistryDemotionAndRehydration(t *testing.T) {
 	}
 }
 
+// Rehydrating a demoted document on Get charges its view against the
+// shard budget like an admission: colder views are demoted again, so
+// repeated Gets of demoted entries never leave the shard over budget.
+func TestRegistryRehydrationStaysInBudget(t *testing.T) {
+	docs := []*xpath.Document{
+		columnarDocOfSize(t, "a", 60),
+		columnarDocOfSize(t, "b", 60),
+		columnarDocOfSize(t, "c", 60),
+	}
+	// Room for every store plus one hydrated view, not two.
+	var budget int64
+	for _, d := range docs {
+		budget += d.StoreSizeBytes()
+	}
+	view := docs[0].ResidentBytes() - docs[0].StoreSizeBytes()
+	budget += view + view/2
+	r := NewRegistry(1, budget, xpath.NewResultCache(0, 0))
+	for _, d := range docs {
+		if _, err := r.Add(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := r.Stats(); st.Demotions != 2 || st.Bytes > budget {
+		t.Fatalf("after adds: %+v, budget %d", st, budget)
+	}
+	for i := 0; i < 9; i++ {
+		fp := docs[i%len(docs)].Fingerprint()
+		if _, ok := r.Get(fp); !ok {
+			t.Fatalf("get %d: document not resident", i)
+		}
+		st := r.Stats()
+		if st.Bytes > budget {
+			t.Fatalf("get %d: resident bytes %d exceed budget %d: %+v", i, st.Bytes, budget, st)
+		}
+		if st.Evictions != 0 || st.Docs != len(docs) {
+			t.Fatalf("get %d: rehydration evicted a document: %+v", i, st)
+		}
+		for _, info := range r.List() {
+			if info.Fingerprint == FormatFingerprint(fp) && !info.Hydrated {
+				t.Fatalf("get %d: fetched entry demoted again: %+v", i, info)
+			}
+		}
+	}
+}
+
 func TestRegistryDeleteAndList(t *testing.T) {
 	r := NewRegistry(4, 0, nil)
 	d := docOfSize(t, "a", 10)

@@ -513,9 +513,7 @@ func (s *Server) httpError(w http.ResponseWriter, status int, msg string) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // isOverBudget matches the registry's over-shard-budget rejection.

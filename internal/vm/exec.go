@@ -39,10 +39,6 @@ type RunOptions struct {
 	// limits at opcode granularity. It is charged in lockstep with
 	// Counter, so its MaxOps uses the same units as Counter.Budget.
 	Guard *evalctx.Guard
-	// TableDispatch runs the program on the function-table dispatcher
-	// instead of the switch loop — the EXP-VM2 experiment. Semantics
-	// and charges are identical; only the dispatch mechanism differs.
-	TableDispatch bool
 }
 
 // Run executes the program for one evaluation context. Node-set queries
@@ -187,15 +183,11 @@ func (m *machine) run(ctx evalctx.Context, opts RunOptions) (value.Value, error)
 		}
 		defer g.Exit()
 	}
-	run := (*machine).exec
-	if opts.TableDispatch {
-		run = (*machine).execTable
-	}
 	if opts.Tracer == nil {
-		return run(m, ctx)
+		return m.exec(ctx)
 	}
 	sp := opts.Tracer.Enter(opts.Root, ctx, m.ctr)
-	v, err := run(m, ctx)
+	v, err := m.exec(ctx)
 	opts.Tracer.Exit(sp, v, m.ctr)
 	return v, err
 }

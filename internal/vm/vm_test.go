@@ -367,39 +367,6 @@ func TestPeepholeFoldsConstants(t *testing.T) {
 	}
 }
 
-// TestTableDispatchAgreement: the function-table dispatcher is an
-// execution-strategy choice only — identical results and identical
-// charges on every corpus query.
-func TestTableDispatchAgreement(t *testing.T) {
-	docs := corpusDocs(t)
-	for _, q := range corpusQueries {
-		prog, err := Compile(parser.MustParse(q))
-		if err != nil {
-			t.Fatalf("compile %q: %v", q, err)
-		}
-		for _, d := range docs {
-			for _, ctx := range []evalctx.Context{evalctx.Root(d), evalctx.At(d.Nodes[len(d.Nodes)/2])} {
-				sctr := &evalctx.Counter{}
-				sw, err := prog.Run(ctx, RunOptions{Counter: sctr})
-				if err != nil {
-					t.Fatalf("%q switch: %v", q, err)
-				}
-				tctr := &evalctx.Counter{}
-				tb, err := prog.Run(ctx, RunOptions{Counter: tctr, TableDispatch: true})
-				if err != nil {
-					t.Fatalf("%q table: %v", q, err)
-				}
-				if !value.Equal(sw, tb) {
-					t.Fatalf("%q: dispatch strategies disagree:\n switch: %v\n table:  %v", q, sw, tb)
-				}
-				if sctr.Ops() != tctr.Ops() {
-					t.Fatalf("%q: dispatch changed charges: switch %d, table %d", q, sctr.Ops(), tctr.Ops())
-				}
-			}
-		}
-	}
-}
-
 // TestConstDedupMetamorphic: disabling constant-pool deduplication
 // changes the pool layout but never the evaluation result.
 func TestConstDedupMetamorphic(t *testing.T) {

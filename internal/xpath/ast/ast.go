@@ -113,7 +113,7 @@ func (t NodeTest) String() string {
 		return "comment()"
 	case TestPI:
 		if t.Name != "" {
-			return fmt.Sprintf("processing-instruction(%q)", t.Name)
+			return "processing-instruction(" + quote(t.Name, '"') + ")"
 		}
 		return "processing-instruction()"
 	case TestNode:
@@ -296,8 +296,23 @@ type Literal struct {
 
 func (*Literal) isExpr() {}
 
-// String renders the literal single-quoted.
-func (l *Literal) String() string { return "'" + l.Val + "'" }
+// String renders the literal single-quoted, or double-quoted when the
+// value holds a single quote.
+func (l *Literal) String() string { return quote(l.Val, '\'') }
+
+// quote renders s as an XPath 1.0 literal, preferring the quote
+// character q. Literals have no escapes, so a value holding q takes the
+// other quote character; a parsed literal never holds both.
+func quote(s string, q byte) string {
+	if strings.IndexByte(s, q) >= 0 {
+		if q == '"' {
+			q = '\''
+		} else {
+			q = '"'
+		}
+	}
+	return string(q) + s + string(q)
+}
 
 // LabelTest is the T(l) condition extension of Remark 3.1: true iff the
 // context node carries the extra label l.

@@ -40,6 +40,7 @@ func TestNodeTestStrings(t *testing.T) {
 		{NodeTest{Kind: TestNode}, "node()"},
 		{NodeTest{Kind: TestPI}, "processing-instruction()"},
 		{NodeTest{Kind: TestPI, Name: "php"}, `processing-instruction("php")`},
+		{NodeTest{Kind: TestPI, Name: `"`}, `processing-instruction('"')`},
 	}
 	for _, tc := range cases {
 		if got := tc.t.String(); got != tc.want {
@@ -84,8 +85,8 @@ func TestExprStrings(t *testing.T) {
 	if got := u.String(); got != "-last()" {
 		t.Errorf("unary string = %q", got)
 	}
-	call := &Call{Name: "concat", Args: []Expr{&Literal{Val: "a"}, &Number{Val: 2}}}
-	if got := call.String(); got != "concat('a', 2)" {
+	call := &Call{Name: "concat", Args: []Expr{&Literal{Val: "a"}, &Literal{Val: "it's"}, &Number{Val: 2}}}
+	if got := call.String(); got != `concat('a', "it's", 2)` {
 		t.Errorf("call string = %q", got)
 	}
 }

@@ -23,8 +23,10 @@
 //     compiled away.
 //
 // Compile classifies every query into the fragment lattice of Figure 1
-// (PF, positive Core XPath, Core XPath, pWF, WF, pXPath, XPath) and
-// EngineAuto picks the cheapest engine for the query's fragment.
+// (PF, positive Core XPath, Core XPath, pWF, WF, pXPath, XPath).
+// EngineAuto binds each query once to the cheapest engine its rewritten
+// plan admits (streaming NFA, then bytecode VM, then the fragment's tree
+// engine); Query and Prepare share that one binding.
 //
 // The paper's hardness reductions (circuit value → Core XPath, SAC¹ →
 // positive Core XPath, graph reachability → PF, circuit value → pWF with
@@ -216,9 +218,12 @@ type Engine int
 
 // The available engines.
 const (
-	// EngineAuto selects the cheapest engine for the query's fragment:
-	// the linear-time engine for Core XPath and below, the context-value-
-	// table engine otherwise.
+	// EngineAuto evaluates on the engine the query's plan binds to, once
+	// per query (see Compiled): the streaming NFA for downward
+	// predicate-free paths, the bytecode VM for the counting fragment,
+	// the linear-time engine for the rest of Core XPath and the
+	// context-value-table engine otherwise. Traced runs use the tree
+	// engine the fragment recommends.
 	EngineAuto Engine = iota
 	// EngineNaive is the exponential baseline.
 	EngineNaive
@@ -232,8 +237,8 @@ const (
 	EngineParallel
 	// EngineStreaming is the single-pass NFA evaluator for the downward
 	// PF fragment (absolute, predicate-free child/descendant paths). It
-	// rejects anything else with ErrNotStreamable; EngineAuto tries it
-	// first and falls back to a tree engine.
+	// rejects anything else with ErrNotStreamable; EngineAuto binds to it
+	// whenever the rewritten plan compiles to the NFA.
 	EngineStreaming
 	// EngineVM executes counting-fragment queries — Core XPath plus
 	// positional predicates ([k], [last()], position()/last()
@@ -242,8 +247,8 @@ const (
 	// per-evaluation interpretation overhead — fragment checks, memo
 	// maps, node-test resolution — moved to compile time, then peephole
 	// optimized. It rejects queries outside the fragment with an error
-	// wrapping vm.ErrNotVM (vm.Reason names the gap); EngineAuto
-	// prefers it over EngineCoreLinear when the query compiles.
+	// wrapping vm.ErrNotVM (vm.Reason names the gap); EngineAuto binds
+	// to it when the rewritten plan compiles and is not streamable.
 	EngineVM
 )
 
@@ -343,6 +348,17 @@ type Query struct {
 	vmOnce sync.Once
 	vmProg *vm.Program
 	vmErr  error
+
+	// streamProg/streamErr memoize the streaming-NFA lowering of Expr
+	// (EngineStreaming) the same way.
+	streamOnce sync.Once
+	streamProg *streaming.Program
+	streamErr  error
+
+	// compiled memoizes bind(q): the engine-bound plan every EngineAuto
+	// evaluation of this query runs through.
+	planOnce sync.Once
+	compiled *Compiled
 }
 
 // vmProgram lowers the query to EngineVM bytecode, once; subsequent
@@ -353,6 +369,22 @@ func (q *Query) vmProgram() (*vm.Program, error) {
 		q.vmProg, q.vmErr = vm.Compile(q.Expr)
 	})
 	return q.vmProg, q.vmErr
+}
+
+// streamProgram lowers the query to the streaming NFA, once.
+func (q *Query) streamProgram() (*streaming.Program, error) {
+	q.streamOnce.Do(func() {
+		q.streamProg, q.streamErr = streaming.Compile(q.Expr)
+	})
+	return q.streamProg, q.streamErr
+}
+
+// plan returns the query's engine-bound plan, binding it on first use.
+// Prepare caches the same *Compiled, so an ad-hoc query and its prepared
+// form resolve EngineAuto identically.
+func (q *Query) plan() *Compiled {
+	q.planOnce.Do(func() { q.compiled = bind(q) })
+	return q.compiled
 }
 
 // Compile parses and classifies a query.
@@ -382,7 +414,8 @@ func (q *Query) ComplexityClass() string { return q.Class.Minimal.ComplexityClas
 
 // EvalOptions tune evaluation.
 type EvalOptions struct {
-	// Engine selects the strategy; EngineAuto picks by fragment.
+	// Engine selects the strategy; EngineAuto uses the query's plan
+	// binding.
 	Engine Engine
 	// Counter, when non-nil, accumulates elementary operation counts and
 	// can enforce a budget.
@@ -452,41 +485,17 @@ type EvalOptions struct {
 }
 
 // flightEval is the per-evaluation scratch behind EvalOptions.Flight:
-// which engine served, which EngineAuto rungs rejected the query, and
-// how the result cache participated. Instances are pooled; every field
-// is re-initialized on checkout.
+// which engine served and how the result cache participated. Instances
+// are pooled; every field is re-initialized on checkout.
 type flightEval struct {
-	engine    Engine
-	fallbacks uint8
-	cache     flight.CacheOutcome
+	engine Engine
+	cache  flight.CacheOutcome
 	// ctr is the synthesized counter used when the caller attached none,
 	// so Record.Ops is available without changing the engines' behaviour.
 	// It is never reset — finishFlight charges the delta from ops0.
 	ctr  Counter
 	ops0 int64
 }
-
-// EngineAuto rung-rejection bits, in ladder order.
-const (
-	flightFellStreaming uint8 = 1 << iota
-	flightFellNAuxPDA
-	flightFellVM
-)
-
-// autoPathNames maps the fallback bitmask to its constant string, so
-// building a Record never concatenates.
-var autoPathNames = [8]string{
-	"",
-	"streaming",
-	"nauxpda",
-	"streaming,nauxpda",
-	"vm",
-	"streaming,vm",
-	"nauxpda,vm",
-	"streaming,nauxpda,vm",
-}
-
-func (fe *flightEval) autoPath() string { return autoPathNames[fe.fallbacks&7] }
 
 var flightEvalPool = sync.Pool{New: func() any { return new(flightEval) }}
 
@@ -543,12 +552,24 @@ func (q *Query) resolveEngine(e Engine) Engine {
 // recovery. When Context, Timeout or a Max* limit is set, the engines
 // run under a resource guard and return errors matching ErrCanceled or
 // ErrBudgetExceeded when a bound is hit.
+//
+// An untraced EngineAuto evaluation runs through the query's memoized
+// plan binding (see Compiled), exactly as its prepared form would: same
+// engine, same result-cache key, one flight record. Traced EngineAuto
+// runs evaluate the query as written on the tree engine its fragment
+// recommends, because the streaming NFA and the bytecode VM have no
+// per-subexpression spans.
 func (q *Query) EvalOptions(ctx Context, opts EvalOptions) (v Value, err error) {
+	if opts.Engine == EngineAuto {
+		if opts.Trace == nil {
+			return q.plan().EvalOptions(ctx, opts)
+		}
+		opts.Engine = q.resolveEngine(EngineAuto)
+	}
 	var t0 time.Time
 	if opts.Flight != nil {
 		fe := flightEvalPool.Get().(*flightEval)
 		fe.engine = opts.Engine
-		fe.fallbacks = 0
 		fe.cache = flight.CacheNone
 		if opts.Counter == nil {
 			// Synthesize an ops counter so the record carries the engine's
@@ -649,7 +670,6 @@ func (q *Query) finishFlight(ctx Context, opts EvalOptions, t0 time.Time, v Valu
 		Ops:      opts.Counter.Ops() - fe.ops0,
 		Card:     obs.Cardinality(v),
 		Cache:    fe.cache,
-		AutoPath: fe.autoPath(),
 	}
 	if err != nil {
 		rec.Err = err.Error()
@@ -673,9 +693,10 @@ func (q *Query) cacheEligible(ctx Context, opts EvalOptions) bool {
 
 // cacheKey builds the result-cache key for this evaluation: everything
 // that the answer is a function of — document content, query text, the
-// requested engine binding, the evaluation context, and the two
-// result-visible options (NegationBound moves the nauxpda fragment
-// boundary; DisableIndex keeps cold and cached index behaviour aligned).
+// engine that runs (EngineAuto is resolved by now), the evaluation
+// context, and the two result-visible options (NegationBound moves the
+// nauxpda fragment boundary; DisableIndex keeps cold and cached index
+// behaviour aligned).
 // Budgets, counters, metrics, workers and timeouts are deliberately
 // excluded: they change how an evaluation runs, never what it returns.
 func (q *Query) cacheKey(ctx Context, opts EvalOptions) qcache.Key {
@@ -693,117 +714,14 @@ func (q *Query) cacheKey(ctx Context, opts EvalOptions) qcache.Key {
 
 // evalUncached dispatches to the engines with the cache out of the
 // picture; the cache's singleflight leader and every cache-ineligible
-// evaluation land here.
+// evaluation land here. The engine is always explicit by now:
+// EvalOptions resolves EngineAuto before it gets this far.
 func (q *Query) evalUncached(ctx Context, opts EvalOptions) (Value, error) {
-	if opts.Engine == EngineAuto {
-		return q.evalAuto(ctx, opts)
-	}
 	var tr *obs.Tracer
 	if opts.Trace != nil {
 		tr = obs.NewTracer(opts.Engine.String(), q.Expr, opts.Trace)
 	}
-	return q.evalEngine(ctx, opts, opts.Engine, tr)
-}
-
-// evalAuto is the EngineAuto ladder: try the streaming NFA when the
-// query compiles to it, try the LOGCFL decision procedure on
-// decision-shaped (statically boolean) queries the classifier recommends
-// it for, then land on the fragment-recommended tree engine (corelinear
-// for Core XPath, cvt otherwise). A fallback happens only on
-// non-resource errors — a cancellation or budget verdict is the user's
-// stop request and is returned as-is — and every fallback or selection
-// is recorded in opts.Metrics under auto.*.
-//
-// The boolean gate on the nauxpda rung matters: the decision engine
-// answers Singleton-Success membership without materializing, which is
-// exactly right for existence checks but re-derives the answer per node
-// when forced to materialize a node-set — cvt is strictly cheaper there
-// (the RecommendEngine comment in internal/fragment says the same).
-//
-// With a trace sink attached, the ladder is bypassed for the static
-// fragment resolution: the streaming NFA and the decision procedure do
-// not emit the per-subexpression spans ExplainAnalyze and traced runs
-// rely on, so tracing observes the tree engine that would otherwise be
-// the ladder's final rung.
-func (q *Query) evalAuto(ctx Context, opts EvalOptions) (Value, error) {
-	if opts.Trace != nil {
-		engine := q.resolveEngine(EngineAuto)
-		if opts.flight != nil {
-			opts.flight.engine = engine
-		}
-		tr := obs.NewTracer(engine.String(), q.Expr, opts.Trace)
-		return q.evalEngine(ctx, opts, engine, tr)
-	}
-	m := opts.Metrics
-	record := func(name string) {
-		if m != nil {
-			m.Counter(name).Inc()
-		}
-	}
-	selected := func(e Engine) {
-		if opts.flight != nil {
-			opts.flight.engine = e
-		}
-	}
-	fellback := func(bit uint8) {
-		if opts.flight != nil {
-			opts.flight.fallbacks |= bit
-		}
-	}
-	// Both ladder stages need a context document; condition-only
-	// contexts (ctx.Node == nil) go straight to the tree engines.
-	if ctx.Node != nil {
-		if _, serr := streaming.Compile(q.Expr); serr == nil {
-			v, err := q.evalEngine(ctx, opts, EngineStreaming, nil)
-			if err == nil || evalctx.IsResourceError(err) {
-				record("auto.selected.streaming")
-				selected(EngineStreaming)
-				return v, err
-			}
-			record("auto.fallback.streaming")
-			fellback(flightFellStreaming)
-		} else if errors.Is(serr, ErrNotStreamable) {
-			record("auto.fallback.streaming")
-			fellback(flightFellStreaming)
-		}
-		if q.Class.RecommendDecisionEngine() == fragment.EngineNAuxPDA &&
-			ast.StaticType(q.Expr) == ast.TypeBoolean {
-			v, err := q.evalEngine(ctx, opts, EngineNAuxPDA, nil)
-			if err == nil || evalctx.IsResourceError(err) {
-				record("auto.selected.nauxpda")
-				selected(EngineNAuxPDA)
-				return v, err
-			}
-			record("auto.fallback.nauxpda")
-			fellback(flightFellNAuxPDA)
-		}
-		// Core XPath queries run on the bytecode VM — the corelinear
-		// algorithm with its interpretation overhead compiled away. The
-		// lowering is memoized on the Query, so the rung costs one check
-		// per evaluation.
-		if _, verr := q.vmProgram(); verr == nil {
-			v, err := q.evalEngine(ctx, opts, EngineVM, nil)
-			if err == nil || evalctx.IsResourceError(err) {
-				record("auto.selected.vm")
-				selected(EngineVM)
-				return v, err
-			}
-			record("auto.fallback.vm")
-			fellback(flightFellVM)
-		} else if reason := vm.Reason(verr); reason != "" {
-			// Why the query missed the VM rung, for fleet-level tallies of
-			// which fragment gaps would pay to close next.
-			record("vm.ineligible." + reason)
-		}
-	}
-	engine := q.resolveEngine(EngineAuto)
-	record("auto.selected." + engine.String())
-	selected(engine)
-	return q.evalEngine(ctx, opts, engine, nil)
-}
-
-func (q *Query) evalEngine(ctx Context, opts EvalOptions, engine Engine, tr *obs.Tracer) (Value, error) {
-	switch engine {
+	switch opts.Engine {
 	case EngineNaive:
 		return naive.EvaluateOptions(q.Expr, ctx, naive.Options{
 			Counter: opts.Counter, Tracer: tr, Metrics: opts.Metrics,
@@ -836,16 +754,15 @@ func (q *Query) evalEngine(ctx Context, opts EvalOptions, engine Engine, tr *obs
 	case EngineVM:
 		return q.evalVM(ctx, opts, tr)
 	default:
-		return nil, fmt.Errorf("xpathcomplexity: unknown engine %d", int(engine))
+		return nil, fmt.Errorf("xpathcomplexity: unknown engine %d", int(opts.Engine))
 	}
 }
 
-// evalStreaming compiles the query to the streaming NFA and runs it over
-// the context document's tree (Program.EvalTree), charging one op per
-// visited node so counter/metrics reconciliation matches the other
-// engines.
+// evalStreaming runs the query's memoized streaming NFA over the context
+// document's tree (Program.EvalTree), charging one op per visited node
+// so counter/metrics reconciliation matches the other engines.
 func (q *Query) evalStreaming(ctx Context, opts EvalOptions, tr *obs.Tracer) (Value, error) {
-	prog, err := streaming.Compile(q.Expr)
+	prog, err := q.streamProgram()
 	if err != nil {
 		return nil, err
 	}
@@ -962,7 +879,7 @@ func (q *Query) Why(n *Node) (string, error) {
 // ResultEquals decides the classical Success problem the paper defines
 // alongside Singleton-Success (Definition 5.3): "given a database, a
 // query, and a query result, to decide whether the given query result is
-// correct". The query is evaluated with the auto-selected engine and the
+// correct". The query is evaluated with the bound EngineAuto engine and the
 // result compared for deep equality (node-sets element-wise in document
 // order; NaN equals NaN).
 func (q *Query) ResultEquals(ctx Context, want Value) (bool, error) {
