@@ -18,18 +18,17 @@ type BatchResult struct {
 // EvalBatch evaluates independent queries against one document from its
 // root context, sharing a single document index and the default plan
 // cache across all of them. Queries are distributed over
-// min(opts.Workers, len(queries)) goroutines (GOMAXPROCS when
-// opts.Workers is 0); results are returned in input order, with per-
-// query errors carried in the corresponding BatchResult rather than
-// aborting the batch. Documents are immutable and the engines are
+// min(opts.Workers, len(queries)) workers (GOMAXPROCS when opts.Workers
+// is 0); a single worker runs inline on the calling goroutine, so a
+// one-query batch costs what Compiled.EvalOptions costs. Results are in
+// input order, with per-query errors carried in the corresponding
+// BatchResult rather than aborting the batch. Documents are immutable and the engines are
 // stateless, so the only shared mutable state is the index build and the
 // plan cache, both of which are concurrency-safe.
 //
-// When opts.Metrics is set, each worker fills a private registry which is
-// merged into opts.Metrics after the batch (counters and histograms add,
-// gauges take the maximum across workers), followed by the shared plan
-// cache and index statistics — so one snapshot describes the whole batch.
-// A shared opts.Counter is also safe: Counter is atomic.
+// When opts.Metrics is set, every worker writes straight into it (its
+// handles are atomic), and the shared plan cache and index statistics
+// are recorded after the batch. A shared opts.Counter is also safe.
 //
 // Resource limits apply per query, not per batch: opts.Timeout starts a
 // fresh deadline for each query as its evaluation begins, and MaxOps /
@@ -42,7 +41,7 @@ type BatchResult struct {
 // plan cache: duplicate queries in the batch collapse to one engine run
 // (singleflight) with the rest served as hits, and the cache stays warm
 // across batches against the same document. Its cumulative statistics
-// are recorded into opts.Metrics with the final merge.
+// are recorded into opts.Metrics after the batch.
 //
 // The engines recycle their scratch memory (bitset arenas, node buffers,
 // memo tables) through sync.Pools, so a worker loop like this one reuses
@@ -68,33 +67,35 @@ func EvalBatch(d *Document, queries []string, opts EvalOptions) []BatchResult {
 	if workers > len(queries) {
 		workers = len(queries)
 	}
-	batchMetrics := opts.Metrics
 	ctx := RootContext(d)
+	if workers == 1 {
+		for i, q := range queries {
+			evalBatchQuery(&results[i], q, ctx, opts)
+		}
+	} else {
+		evalBatchParallel(results, queries, ctx, opts, workers)
+	}
+	if opts.Metrics != nil {
+		defaultPlanCache.RecordMetrics(opts.Metrics)
+		recordIndexMetrics(opts.Metrics, d)
+		if opts.Cache != nil {
+			opts.Cache.RecordMetrics(opts.Metrics)
+		}
+	}
+	return results
+}
+
+// evalBatchParallel runs the worker goroutines; being a function of its
+// own, only multi-worker batches move opts to the heap for them.
+func evalBatchParallel(results []BatchResult, queries []string, ctx Context, opts EvalOptions, workers int) {
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wopts := opts
-			if batchMetrics != nil {
-				// Workers write to a private registry to keep handle-map
-				// lookups uncontended; merged below.
-				wopts.Metrics = NewMetrics()
-			}
 			for i := range next {
-				r := &results[i]
-				r.Query = queries[i]
-				c, err := Prepare(queries[i])
-				if err != nil {
-					r.Err = err
-					continue
-				}
-				r.Value, r.Err = c.EvalOptions(ctx, wopts)
-			}
-			if batchMetrics != nil {
-				// Merge is atomic per handle, safe from several workers.
-				batchMetrics.Merge(wopts.Metrics.Snapshot())
+				evalBatchQuery(&results[i], queries[i], ctx, opts)
 			}
 		}()
 	}
@@ -103,12 +104,15 @@ func EvalBatch(d *Document, queries []string, opts EvalOptions) []BatchResult {
 	}
 	close(next)
 	wg.Wait()
-	if batchMetrics != nil {
-		defaultPlanCache.RecordMetrics(batchMetrics)
-		recordIndexMetrics(batchMetrics, d)
-		if opts.Cache != nil {
-			opts.Cache.RecordMetrics(batchMetrics)
-		}
+}
+
+// evalBatchQuery prepares and evaluates one batch query into r.
+func evalBatchQuery(r *BatchResult, query string, ctx Context, opts EvalOptions) {
+	r.Query = query
+	c, err := Prepare(query)
+	if err != nil {
+		r.Err = err
+		return
 	}
-	return results
+	r.Value, r.Err = c.EvalOptions(ctx, opts)
 }

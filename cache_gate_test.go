@@ -6,6 +6,14 @@
 // Measured as of EXP-CACHE: 2 allocs per hit (the NodeSet header and its
 // backing array); the ceiling leaves headroom, not license.
 //
+// The evalbatch/daemon row serves the same hit the way xpathd's
+// /v1/eval handler does: a one-query EvalBatch under the daemon's
+// options (one batch worker, deadline and budgets, shared cache, metrics
+// registry and flight recorder). A single-worker batch evaluates inline
+// on the caller's goroutine and writes the caller's registry directly,
+// so it may cost only a few allocations more than the bare hit:
+// measured at 8 allocs per hit.
+//
 // Like the alloc gate, the race detector's instrumentation allocates, so
 // the gate only arms on plain `go test`.
 
@@ -14,7 +22,9 @@
 package xpathcomplexity
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"xpathcomplexity/internal/eval/evalctx"
 )
@@ -22,6 +32,10 @@ import (
 // cacheGateCeiling is the maximum tolerated allocations per warm cache
 // hit, across the same workloads the alloc gate holds cold ceilings for.
 const cacheGateCeiling = 8
+
+// batchGateCeiling is the maximum tolerated allocations per warm
+// one-query EvalBatch hit under the daemon's options.
+const batchGateCeiling = 12
 
 func TestCacheGate(t *testing.T) {
 	if testing.CoverMode() != "" {
@@ -65,4 +79,37 @@ func TestCacheGate(t *testing.T) {
 			}
 		})
 	}
+	t.Run("evalbatch/daemon", func(t *testing.T) {
+		rc := NewResultCache(0, 0)
+		reqCtx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		opts := EvalOptions{
+			Workers:    1,
+			Context:    reqCtx,
+			Timeout:    2 * time.Second,
+			MaxOps:     50_000_000,
+			MaxNodeSet: 1_000_000,
+			Cache:      rc,
+			Metrics:    NewMetrics(),
+			Flight:     NewFlightRecorder(FlightRecorderConfig{}),
+		}
+		queries := []string{"//a[b]/c"}
+		eval := func() {
+			if r := EvalBatch(d, queries, opts)[0]; r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			eval()
+		}
+		if st := rc.Stats(); st.Hits == 0 {
+			t.Fatalf("gate priming produced no hits: %+v", st)
+		}
+		got := testing.AllocsPerRun(100, eval)
+		if got > batchGateCeiling {
+			t.Errorf("evalbatch/daemon: %.1f allocs per one-query batch hit, ceiling %d — "+
+				"the single-worker batch path regressed", got, batchGateCeiling)
+		}
+		t.Logf("%.1f allocs per one-query batch hit", got)
+	})
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -70,6 +71,14 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer os.Chdir(old)
+	// The experiments time their workloads with testing.Benchmark; one
+	// iteration each is enough to run every code path, where the default
+	// 1s benchtime would spend minutes measuring.
+	benchtime := flag.Lookup("test.benchtime").Value.String()
+	if err := flag.Set("test.benchtime", "1x"); err != nil {
+		t.Fatal(err)
+	}
+	defer flag.Set("test.benchtime", benchtime)
 	for _, e := range experiments {
 		if e.name == "par" || e.name == "t59" || e.name == "f1" || e.name == "t32" {
 			continue // the slowest ones; covered by the xbench runs in EXPERIMENTS.md

@@ -15,6 +15,7 @@ package obs
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"sort"
@@ -212,34 +213,17 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-func (h *Histogram) merge(s HistogramSnapshot) {
-	if h == nil || s.Count == 0 {
-		return
-	}
-	h.count.Add(s.Count)
-	h.sum.Add(s.Sum)
-	for {
-		cur := h.max.Load()
-		if s.Max <= cur || h.max.CompareAndSwap(cur, s.Max) {
-			break
-		}
-	}
-	for i, n := range s.Buckets {
-		if i >= 0 && i < histBuckets {
-			h.buckets[i].Add(n)
-		}
-	}
-}
-
 // Metrics is a registry of named metrics. Handles are created on first
 // use and never removed; all handle operations are atomic, so one
-// registry may be shared by any number of goroutines. A nil *Metrics is
-// valid: it hands out nil handles and snapshots empty.
+// registry may be shared by any number of goroutines, and looking up an
+// existing name takes only a read lock. A nil *Metrics is valid: it
+// hands out nil handles and snapshots empty.
 type Metrics struct {
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	gaugeFns map[string]func() int64
 }
 
 // NewMetrics creates an empty registry.
@@ -248,7 +232,25 @@ func NewMetrics() *Metrics {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		gaugeFns: make(map[string]func() int64),
 	}
+}
+
+// handle returns table[name], registering a zero handle on first use.
+func handle[T any](mu *sync.RWMutex, table map[string]*T, name string) *T {
+	mu.RLock()
+	h := table[name]
+	mu.RUnlock()
+	if h != nil {
+		return h
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if h = table[name]; h == nil {
+		h = new(T)
+		table[name] = h
+	}
+	return h
 }
 
 // Counter returns the named counter, registering it on first use.
@@ -256,14 +258,7 @@ func (m *Metrics) Counter(name string) *Counter {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := m.counters[name]
-	if c == nil {
-		c = new(Counter)
-		m.counters[name] = c
-	}
-	return c
+	return handle(&m.mu, m.counters, name)
 }
 
 // Gauge returns the named gauge, registering it on first use.
@@ -271,14 +266,7 @@ func (m *Metrics) Gauge(name string) *Gauge {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	g := m.gauges[name]
-	if g == nil {
-		g = new(Gauge)
-		m.gauges[name] = g
-	}
-	return g
+	return handle(&m.mu, m.gauges, name)
 }
 
 // Histogram returns the named histogram, registering it on first use.
@@ -286,14 +274,20 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	if m == nil {
 		return nil
 	}
+	return handle(&m.mu, m.hists, name)
+}
+
+// GaugeFunc registers a gauge read by calling fn at Snapshot time, for
+// state another component already counts. fn runs outside the registry
+// lock and must be safe for concurrent use; its value wins over a plain
+// gauge of the same name.
+func (m *Metrics) GaugeFunc(name string, fn func() int64) {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	h := m.hists[name]
-	if h == nil {
-		h = new(Histogram)
-		m.hists[name] = h
-	}
-	return h
+	m.gaugeFns[name] = fn
 }
 
 // Names of the scratch-arena metrics recorded by RecordScratch.
@@ -332,16 +326,16 @@ func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 // Gauge returns the named gauge's value (0 when absent).
 func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
 
-// Snapshot freezes the registry. A nil *Metrics snapshots empty.
+// Snapshot freezes the registry, calling every GaugeFunc. A nil
+// *Metrics snapshots empty.
 func (m *Metrics) Snapshot() Snapshot {
 	if m == nil {
 		return Snapshot{}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
 	s := Snapshot{
 		Counters:   make(map[string]int64, len(m.counters)),
-		Gauges:     make(map[string]int64, len(m.gauges)),
+		Gauges:     make(map[string]int64, len(m.gauges)+len(m.gaugeFns)),
 		Histograms: make(map[string]HistogramSnapshot, len(m.hists)),
 	}
 	for name, c := range m.counters {
@@ -353,25 +347,12 @@ func (m *Metrics) Snapshot() Snapshot {
 	for name, h := range m.hists {
 		s.Histograms[name] = h.snapshot()
 	}
+	fns := maps.Clone(m.gaugeFns)
+	m.mu.RUnlock()
+	for name, fn := range fns {
+		s.Gauges[name] = fn()
+	}
 	return s
-}
-
-// Merge folds a snapshot into the registry: counters and histograms add,
-// gauges take the maximum (they record high-water marks across workers).
-// EvalBatch uses this to aggregate per-worker registries into one.
-func (m *Metrics) Merge(s Snapshot) {
-	if m == nil {
-		return
-	}
-	for name, v := range s.Counters {
-		m.Counter(name).Add(v)
-	}
-	for name, v := range s.Gauges {
-		m.Gauge(name).SetMax(v)
-	}
-	for name, hs := range s.Histograms {
-		m.Histogram(name).merge(hs)
-	}
 }
 
 // String renders the snapshot as sorted "kind name value" lines — the

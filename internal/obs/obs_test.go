@@ -32,7 +32,7 @@ func TestNilMetricsAndHandlesNoOp(t *testing.T) {
 	if len(s.Counters) != 0 || s.Counter("x") != 0 || s.Gauge("x") != 0 {
 		t.Fatalf("nil registry must snapshot empty, got %+v", s)
 	}
-	m.Merge(Snapshot{Counters: map[string]int64{"x": 1}})
+	m.GaugeFunc("x", func() int64 { return 1 })
 }
 
 func TestDisabledPathAllocatesNothing(t *testing.T) {
@@ -92,30 +92,20 @@ func TestMetricsRegistryAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestMetricsMergeSemantics(t *testing.T) {
-	worker1 := NewMetrics()
-	worker1.Counter("ops").Add(10)
-	worker1.Gauge("depth").Set(5)
-	worker1.Histogram("card").Observe(7)
-
-	worker2 := NewMetrics()
-	worker2.Counter("ops").Add(32)
-	worker2.Gauge("depth").Set(3)
-	worker2.Histogram("card").Observe(100)
-
-	total := NewMetrics()
-	total.Merge(worker1.Snapshot())
-	total.Merge(worker2.Snapshot())
-	s := total.Snapshot()
-	if s.Counter("ops") != 42 {
-		t.Errorf("merged counter = %d, want 42 (counters add)", s.Counter("ops"))
+func TestGaugeFuncReadAtSnapshot(t *testing.T) {
+	m := NewMetrics()
+	n := int64(1)
+	m.Gauge("docs").Set(99) // a function of the same name wins
+	m.GaugeFunc("docs", func() int64 { return n })
+	if got := m.Snapshot().Gauge("docs"); got != 1 {
+		t.Fatalf("docs = %d, want 1", got)
 	}
-	if s.Gauge("depth") != 5 {
-		t.Errorf("merged gauge = %d, want 5 (gauges take max)", s.Gauge("depth"))
+	n = 0
+	if got := m.Snapshot().Gauge("docs"); got != 0 {
+		t.Fatalf("docs = %d after the source changed, want 0 (read at snapshot time)", got)
 	}
-	h := s.Histograms["card"]
-	if h.Count != 2 || h.Sum != 107 || h.Max != 100 {
-		t.Errorf("merged histogram = %+v", h)
+	if s := m.Snapshot().String(); !strings.Contains(s, "docs") {
+		t.Fatalf("String() misses the function gauge:\n%s", s)
 	}
 }
 

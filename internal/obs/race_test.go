@@ -1,30 +1,29 @@
 package obs
 
 import (
+	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// TestMetricsSnapshotMergeConcurrent drives one registry from many
+// TestMetricsSnapshotConcurrent drives one registry from many
 // goroutines doing the full mixed workload — counter adds, gauge
-// high-water writes, histogram observations, snapshots mid-flight, and
-// merges of foreign snapshots — and checks the totals reconcile. Run
-// under `make test-race`, this is the concurrency contract of Metrics:
-// every handle operation is atomic and Snapshot/Merge may race with
-// writers freely (TestMetricsConcurrent covers writers alone).
-func TestMetricsSnapshotMergeConcurrent(t *testing.T) {
+// high-water writes, histogram observations, first-use registrations,
+// scrape-time gauge functions and snapshots mid-flight — and checks the
+// totals reconcile. Run under `make test-race`, this is the concurrency
+// contract of Metrics: every handle operation is atomic and Snapshot
+// may race with writers and registrations freely (TestMetricsConcurrent
+// covers writers alone).
+func TestMetricsSnapshotConcurrent(t *testing.T) {
 	const (
 		workers = 8
 		rounds  = 500
 	)
 	m := NewMetrics()
-
-	// A foreign registry snapshot merged by every worker each round.
-	foreign := NewMetrics()
-	foreign.Counter("merged.count").Add(1)
-	foreign.Gauge("merged.high").Set(42)
-	foreign.Histogram("merged.dist").Observe(7)
-	fs := foreign.Snapshot()
+	var live atomic.Int64
+	m.GaugeFunc("live.rounds", live.Load)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -35,13 +34,16 @@ func TestMetricsSnapshotMergeConcurrent(t *testing.T) {
 				m.Counter("work.ops").Add(3)
 				m.Gauge("work.depth").SetMax(int64(id*rounds + i))
 				m.Histogram("work.sizes").Observe(int64(i % 100))
-				m.Merge(fs)
+				// A name per worker and round bucket: lookups race with
+				// first-use registrations.
+				m.Counter(fmt.Sprintf("work.bucket.%d.%d", id, i/100)).Inc()
+				live.Add(1)
 				if i%50 == 0 {
 					// Snapshots taken while writers are racing must be
 					// internally consistent maps, not torn state.
 					s := m.Snapshot()
-					if s.Counter("work.ops") < 0 {
-						t.Errorf("negative counter in mid-flight snapshot")
+					if s.Counter("work.ops") < 0 || s.Gauge("live.rounds") < 0 {
+						t.Errorf("negative value in mid-flight snapshot")
 					}
 				}
 			}
@@ -54,21 +56,23 @@ func TestMetricsSnapshotMergeConcurrent(t *testing.T) {
 	if got := s.Counter("work.ops"); got != 3*total {
 		t.Errorf("work.ops = %d, want %d", got, 3*total)
 	}
-	if got := s.Counter("merged.count"); got != total {
-		t.Errorf("merged.count = %d, want %d (one merge per round per worker)", got, total)
-	}
 	if got := s.Gauge("work.depth"); got != int64(total-1) {
 		t.Errorf("work.depth = %d, want high-water %d", got, total-1)
 	}
-	if got := s.Gauge("merged.high"); got != 42 {
-		t.Errorf("merged.high = %d, want 42", got)
+	if got := s.Gauge("live.rounds"); got != total {
+		t.Errorf("live.rounds = %d, want %d (read at snapshot time)", got, total)
+	}
+	var buckets int64
+	for name, v := range s.Counters {
+		if strings.HasPrefix(name, "work.bucket.") {
+			buckets += v
+		}
+	}
+	if buckets != total {
+		t.Errorf("work.bucket.* sum = %d, want %d", buckets, total)
 	}
 	h := s.Histograms["work.sizes"]
 	if h.Count != total {
 		t.Errorf("work.sizes count = %d, want %d", h.Count, total)
-	}
-	hm := s.Histograms["merged.dist"]
-	if hm.Count != total || hm.Sum != 7*total || hm.Max != 7 {
-		t.Errorf("merged.dist = count=%d sum=%d max=%d, want %d/%d/7", hm.Count, hm.Sum, hm.Max, total, 7*total)
 	}
 }

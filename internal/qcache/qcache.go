@@ -103,6 +103,9 @@ type entry struct {
 	key   Key
 	val   value.Value
 	bytes int64
+	el    *list.Element // the entry's slot in the LRU order
+	// docPrev/docNext chain the entries of one document fingerprint.
+	docPrev, docNext *entry
 }
 
 // call is one in-flight evaluation other lookups of the same key wait
@@ -123,6 +126,7 @@ type Cache struct {
 	bytes      int64
 	order      *list.List // front = most recently used; values are *entry
 	entries    map[Key]*list.Element
+	docs       map[uint64]*entry // head of each fingerprint's entry chain
 	inflight   map[Key]*call
 
 	hits, misses, evictions, inflightWaits, admissions, invalidations int64
@@ -149,6 +153,7 @@ func New(maxEntries int, maxBytes int64) *Cache {
 		maxBytes:   maxBytes,
 		order:      list.New(),
 		entries:    make(map[Key]*list.Element),
+		docs:       make(map[uint64]*entry),
 		inflight:   make(map[Key]*call),
 	}
 }
@@ -312,14 +317,19 @@ func (c *Cache) admit(key Key, v value.Value, doc *xmltree.Document, m *obs.Metr
 		m.Gauge(MetricBytes).Set(bytes)
 		return stored
 	}
-	el := c.order.PushFront(&entry{key: key, val: stored, bytes: size})
-	c.entries[key] = el
+	e := &entry{key: key, val: stored, bytes: size, docNext: c.docs[key.DocFP]}
+	if e.docNext != nil {
+		e.docNext.docPrev = e
+	}
+	c.docs[key.DocFP] = e
+	e.el = c.order.PushFront(e)
+	c.entries[key] = e.el
 	c.bytes += size
 	c.admissions++
 	evicted := 0
 	for c.order.Len() > c.maxEntries || c.bytes > c.maxBytes {
 		last := c.order.Back()
-		if last == el && c.order.Len() == 1 {
+		if last == e.el && c.order.Len() == 1 {
 			break // never evict the entry just admitted below budget
 		}
 		c.removeLocked(last)
@@ -335,12 +345,22 @@ func (c *Cache) admit(key Key, v value.Value, doc *xmltree.Document, m *obs.Metr
 	return stored
 }
 
-// removeLocked unlinks an element; callers hold c.mu.
+// removeLocked unlinks an element and its chain links; callers hold c.mu.
 func (c *Cache) removeLocked(el *list.Element) {
 	e := el.Value.(*entry)
 	c.order.Remove(el)
 	delete(c.entries, e.key)
 	c.bytes -= e.bytes
+	if e.docNext != nil {
+		e.docNext.docPrev = e.docPrev
+	}
+	if e.docPrev != nil {
+		e.docPrev.docNext = e.docNext
+	} else if e.docNext != nil {
+		c.docs[e.key.DocFP] = e.docNext
+	} else {
+		delete(c.docs, e.key.DocFP)
+	}
 }
 
 // Contains reports whether the key currently has an admitted entry,
@@ -358,18 +378,17 @@ func (c *Cache) Contains(key Key) bool {
 // fingerprint and returns how many were dropped. Content addressing
 // already guarantees a changed document misses (its fingerprint
 // changed); this reclaims the bytes of the old content's entries
-// eagerly instead of waiting for LRU pressure.
+// eagerly instead of waiting for LRU pressure, walking only that
+// document's entry chain.
 func (c *Cache) InvalidateDocument(fp uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		if el.Value.(*entry).key.DocFP == fp {
-			c.removeLocked(el)
-			n++
-		}
-		el = next
+	for e := c.docs[fp]; e != nil; {
+		next := e.docNext
+		c.removeLocked(e.el)
+		n++
+		e = next
 	}
 	c.invalidations += int64(n)
 	return n
@@ -382,6 +401,7 @@ func (c *Cache) Clear() {
 	c.invalidations += int64(c.order.Len())
 	c.order.Init()
 	c.entries = make(map[Key]*list.Element)
+	c.docs = make(map[uint64]*entry)
 	c.bytes = 0
 }
 

@@ -358,6 +358,75 @@ func TestInvalidateDocument(t *testing.T) {
 	}
 }
 
+// InvalidateDocument walks one fingerprint's entry chain: among many
+// documents' interleaved entries — some already evicted out of the
+// middle of their chains — it must drop exactly that document's
+// resident entries, count them, and leave every other document
+// serving hits.
+func TestInvalidateDocumentAmongMany(t *testing.T) {
+	const docs, plans, capacity = 12, 6, 50
+	c := New(capacity, 1<<20)
+	key := func(doc, plan int) Key {
+		return Key{DocFP: uint64(1000 + doc), Plan: fmt.Sprintf("p%d", plan), Engine: "test", CtxPos: 1, CtxSize: 1}
+	}
+	evals := 0
+	eval := func() (value.Value, error) { evals++; return value.Number(1), nil }
+	// Plan-major admission interleaves the documents in LRU order; the
+	// 72 admissions overflow the 50-entry bound, evicting the oldest.
+	for p := 0; p < plans; p++ {
+		for d := 0; d < docs; d++ {
+			if _, err := c.Do(key(d, p), nil, nil, eval); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	resident := func(d int) int {
+		n := 0
+		for p := 0; p < plans; p++ {
+			if c.Contains(key(d, p)) {
+				n++
+			}
+		}
+		return n
+	}
+	before := c.Stats()
+	for _, victim := range []int{0, 7, 11} {
+		want := resident(victim)
+		if want == 0 {
+			t.Fatalf("doc %d has no resident entries; the test needs some", victim)
+		}
+		len0 := c.Len()
+		if n := c.InvalidateDocument(key(victim, 0).DocFP); n != want {
+			t.Fatalf("doc %d: invalidated %d entries, want %d", victim, n, want)
+		}
+		if resident(victim) != 0 || c.Len() != len0-want {
+			t.Fatalf("doc %d: %d entries left, len %d -> %d", victim, resident(victim), len0, c.Len())
+		}
+		if n := c.InvalidateDocument(key(victim, 0).DocFP); n != 0 {
+			t.Fatalf("doc %d: second invalidation dropped %d entries", victim, n)
+		}
+	}
+	st := c.Stats()
+	if got := st.Invalidations - before.Invalidations; got != int64(before.Size-st.Size) {
+		t.Fatalf("invalidations grew by %d, entries fell by %d", got, before.Size-st.Size)
+	}
+	// Another document's newest entry still serves as a hit.
+	evals0, hits0 := evals, st.Hits
+	if _, err := c.Do(key(3, plans-1), nil, nil, eval); err != nil {
+		t.Fatal(err)
+	}
+	if evals != evals0 || c.Stats().Hits != hits0+1 {
+		t.Fatalf("surviving document missed: evals %d -> %d", evals0, evals)
+	}
+	// Draining every document empties the cache and its chain heads.
+	for d := 0; d < docs; d++ {
+		c.InvalidateDocument(key(d, 0).DocFP)
+	}
+	if c.Len() != 0 || c.Bytes() != 0 || len(c.docs) != 0 {
+		t.Fatalf("drained cache: len %d, bytes %d, chains %d", c.Len(), c.Bytes(), len(c.docs))
+	}
+}
+
 // A panicking leader must clear the inflight slot (waiters retry) and
 // let the panic propagate to the caller's recovery.
 func TestLeaderPanicUnwedgesKey(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 
@@ -148,13 +149,12 @@ func (r *Registry) shard(fp uint64) *regShard {
 // used on the wire.
 func FormatFingerprint(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 
-// ParseFingerprint parses the wire handle back to a fingerprint.
+// ParseFingerprint parses the wire handle back to a fingerprint: 1 to 16
+// hex digits and nothing else (no sign, prefix, separator or space), so
+// no junk handle can address another document.
 func ParseFingerprint(s string) (uint64, error) {
-	var fp uint64
-	if len(s) == 0 || len(s) > 16 {
-		return 0, fmt.Errorf("malformed fingerprint %q", s)
-	}
-	if _, err := fmt.Sscanf(s, "%x", &fp); err != nil {
+	fp, err := strconv.ParseUint(s, 16, 64)
+	if err != nil || len(s) > 16 {
 		return 0, fmt.Errorf("malformed fingerprint %q", s)
 	}
 	return fp, nil
@@ -332,19 +332,15 @@ func (r *Registry) Stats() RegistryStats {
 	return st
 }
 
-// RecordMetrics copies the registry's state into a metrics registry as
-// absolute-valued gauges, the PlanCache.RecordMetrics pattern.
-func (r *Registry) RecordMetrics(m *xpath.Metrics) {
-	if m == nil {
-		return
-	}
-	st := r.Stats()
-	m.Gauge("registry.docs").Set(int64(st.Docs))
-	m.Gauge("registry.bytes").Set(st.Bytes)
-	m.Gauge("registry.loads_total").SetMax(st.Loads)
-	m.Gauge("registry.evictions_total").SetMax(st.Evictions)
-	m.Gauge("registry.demotions_total").SetMax(st.Demotions)
-	m.Gauge("registry.rehydrations_total").SetMax(st.Rehydrations)
+// registerGauges exposes the registry's state on m as gauges read at
+// scrape time: exact on every scrape, and no request pays to push them.
+func (r *Registry) registerGauges(m *xpath.Metrics) {
+	m.GaugeFunc("registry.docs", func() int64 { return int64(r.Stats().Docs) })
+	m.GaugeFunc("registry.bytes", func() int64 { return r.Stats().Bytes })
+	m.GaugeFunc("registry.loads_total", func() int64 { return r.Stats().Loads })
+	m.GaugeFunc("registry.evictions_total", func() int64 { return r.Stats().Evictions })
+	m.GaugeFunc("registry.demotions_total", func() int64 { return r.Stats().Demotions })
+	m.GaugeFunc("registry.rehydrations_total", func() int64 { return r.Stats().Rehydrations })
 }
 
 func (s *regShard) removeLocked(el *list.Element) {

@@ -41,7 +41,12 @@ func TestFingerprintRoundTrip(t *testing.T) {
 			t.Errorf("round trip %d -> %q -> %d, %v", fp, s, got, err)
 		}
 	}
-	for _, bad := range []string{"", "zz", "not-hex!", strings.Repeat("f", 17)} {
+	for _, bad := range []string{
+		"", "zz", "not-hex!", strings.Repeat("f", 17),
+		// Trailing junk, prefixes, separators and spaces: each would
+		// otherwise address whatever document its leading digits name.
+		"abcdzz", "0x1f", "1_f", " 1f", "1f ", "+1f",
+	} {
 		if _, err := ParseFingerprint(bad); err == nil {
 			t.Errorf("ParseFingerprint(%q): want error", bad)
 		}

@@ -200,6 +200,7 @@ func New(cfg Config) *Server {
 		s.cache = xpath.NewResultCache(cfg.CacheEntries, cfg.CacheBytes)
 	}
 	s.registry = NewRegistry(cfg.RegistryShards, cfg.MaxResidentBytes, s.cache)
+	s.registry.registerGauges(s.metrics)
 	s.adm = newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait, cfg.TenantConcurrency)
 
 	// The PR 7 debug surface is the base mux — /metrics, /debug/xpath/*,
@@ -351,7 +352,6 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		// multi-query batch is always 200 with per-query errors inline.
 		status = statusForError(results[0].Err)
 	}
-	s.registry.RecordMetrics(s.metrics)
 	writeJSON(w, status, resp)
 }
 
@@ -373,7 +373,7 @@ func (s *Server) renderResult(tenant string, br xpath.BatchResult) evalResult {
 		}
 		return out
 	}
-	out.Kind = fmt.Sprintf("%v", br.Value.Kind())
+	out.Kind = br.Value.Kind().String()
 	if ns, ok := br.Value.(value.NodeSet); ok {
 		out.Card = len(ns)
 		out.Value = strconv.Itoa(len(ns)) + " nodes"
@@ -469,7 +469,6 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.registry.RecordMetrics(s.metrics)
 	writeJSON(w, http.StatusCreated, info)
 }
 
@@ -492,7 +491,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusNotFound, "document is not resident")
 		return
 	}
-	s.registry.RecordMetrics(s.metrics)
 	w.WriteHeader(http.StatusNoContent)
 }
 

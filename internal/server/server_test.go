@@ -351,6 +351,45 @@ func TestDocumentLifecycle(t *testing.T) {
 	}
 }
 
+// The registry gauges are read at scrape time: /metrics reports the
+// resident document count right after a load and again after a delete,
+// with no eval request in between to push them.
+func TestRegistryGaugesAtScrape(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	docsGauge := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatalf("/metrics: %v", err)
+		}
+		defer resp.Body.Close()
+		text, _ := io.ReadAll(resp.Body)
+		for _, line := range strings.Split(string(text), "\n") {
+			if name, v, ok := strings.Cut(line, " "); ok && strings.HasSuffix(name, "registry_docs") {
+				return v
+			}
+		}
+		t.Fatalf("/metrics has no registry_docs sample:\n%.2000s", text)
+		return ""
+	}
+	info := loadDoc(t, ts, testDoc)
+	if got := docsGauge(); got != "1" {
+		t.Errorf("registry_docs after load = %s, want 1", got)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/documents/"+info.Fingerprint, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete: want 204, got %d", resp.StatusCode)
+	}
+	if got := docsGauge(); got != "0" {
+		t.Errorf("registry_docs after delete = %s, want 0", got)
+	}
+}
+
 // TestConcurrentTenants runs several tenants against one registry and
 // shared caches under -race: every response must be one of the defined
 // statuses and the counters must reconcile with what clients saw.
