@@ -35,10 +35,10 @@ var allocCeilings = []struct {
 	{"cvt/pred", "//a[b]/c", EngineCVT, 240},
 	{"corelinear/path", "/descendant::a/child::b/descendant::c", EngineCoreLinear, 4},
 	{"corelinear/pred", "//a[b and not(c)]", EngineCoreLinear, 8},
-	// Bound to the streaming NFA through the plan binding. The ceiling
-	// sits below the 20 allocs a per-evaluation NFA compile costs, so it
-	// pins the memoized program.
-	{"streaming/path", "/descendant::a/child::b", EngineAuto, 14},
+	// Pinned to the streaming NFA (the plan binding prefers the VM). The
+	// ceiling sits below the 20 allocs a per-evaluation NFA compile
+	// costs, so it pins the memoized program.
+	{"streaming/path", "/descendant::a/child::b", EngineStreaming, 14},
 }
 
 func TestAllocGate(t *testing.T) {

@@ -79,7 +79,9 @@ func EvalBatch(d *Document, queries []string, opts EvalOptions) []BatchResult {
 		defaultPlanCache.RecordMetrics(opts.Metrics)
 		recordIndexMetrics(opts.Metrics, d)
 		if opts.Cache != nil {
-			opts.Cache.RecordMetrics(opts.Metrics)
+			// Attaches the cache's scrape-time gauges once per registry;
+			// a daemon that registered them up front pays one atomic load.
+			opts.Cache.RegisterGauges(opts.Metrics)
 		}
 	}
 	return results

@@ -77,6 +77,7 @@ var experiments = []experiment{
 	{"guard", "resource guard: op budget kills naive, cvt completes (writes BENCH_GUARD.json)", expGuard},
 	{"alloc", "allocation profile of warm compiled-query evaluation (writes BENCH_ALLOC.json)", expAlloc},
 	{"vm", "bytecode VM vs corelinear: warm wall-clock on the EXP-ALLOC families (writes BENCH_VM.json)", expVM},
+	{"mix", "serving mix per family: bound engine, warm µs and allocs per eval on both backends (writes BENCH_MIX.json)", expMix},
 	{"cache", "result cache: warm uncached evaluation vs cache hit (writes BENCH_CACHE.json)", expCache},
 	{"obs2", "flight recorder overhead: disabled vs sampled-out vs capture-all (writes BENCH_OBS2.json)", expObs2},
 	{"serve", "xpathd under closed-loop load: qps, latency quantiles, shed rate (writes BENCH_SERVE.json)", expServe},

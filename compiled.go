@@ -29,12 +29,11 @@ type Compiled struct {
 	// expression (descendant-step collapse, and the Remark 5.2 predicate
 	// fold when it moves the query into a cheaper fragment) with its
 	// classification, or the Query itself when no rewrite applied. It
-	// carries the memoized VM and streaming lowerings the bound engine
-	// runs.
+	// carries the memoized VM lowering the bound engine runs.
 	planQuery *Query
 	// vmIneligible is the vm.ineligible.<reason> counter EngineAuto
 	// evaluations bump when the plan binds to a tree engine ("" when it
-	// binds to the NFA or the VM), built once here so evaluation never
+	// binds to the VM), built once here so evaluation never
 	// concatenates.
 	vmIneligible string
 }
@@ -65,16 +64,18 @@ func bind(q *Query) *Compiled {
 		// resolves identically through either Query.
 		c.planQuery.planOnce.Do(func() { c.planQuery.compiled = c })
 	}
-	// Engine priority: the single-pass NFA for downward predicate-free
-	// paths, then the bytecode VM for counting-fragment plans (Core XPath
-	// plus countable positional predicates: the corelinear algorithm with
-	// its interpretation overhead compiled away and peephole optimized),
-	// then the fragment's tree engine. Both lowerings are memoized on
-	// the plan's Query, so the plan cache carries the program the bound
-	// engine runs alongside the rewritten AST.
-	if _, err := c.planQuery.streamProgram(); err == nil {
-		c.Bound = EngineStreaming
-	} else if _, err := c.planQuery.vmProgram(); err == nil {
+	// Engine priority: the bytecode VM for every plan it compiles (Core
+	// XPath plus countable positional predicates, path-versus-literal
+	// comparisons and top-level count()/sum(): Proposition 2.7's set
+	// algebra with its interpretation overhead compiled away and
+	// peephole optimized), then the fragment's tree engine. The VM
+	// serves the downward predicate-free paths too: its sparse frontier
+	// beats the streaming NFA's whole-tree walk on a resident document
+	// (EXP-VM3), so the NFA is compiled only when a caller pins
+	// EngineStreaming. The lowering is memoized on the plan's Query, so
+	// the plan cache carries the program the bound engine runs
+	// alongside the rewritten AST.
+	if _, err := c.planQuery.vmProgram(); err == nil {
 		c.Bound = EngineVM
 	} else {
 		c.Bound = c.treeEngine()
@@ -86,8 +87,8 @@ func bind(q *Query) *Compiled {
 }
 
 // treeEngine is the tree-based engine the plan's fragment recommends —
-// the binding used for runs the streaming NFA and the VM cannot serve
-// (tracing and ExplainAnalyze need per-subexpression spans).
+// the binding used for runs the VM cannot serve (tracing and
+// ExplainAnalyze need per-subexpression spans).
 func (c *Compiled) treeEngine() Engine {
 	if c.planQuery.Class.RecommendEngine() == fragment.EngineCoreLinear {
 		return EngineCoreLinear
@@ -136,10 +137,10 @@ func (c *Compiled) EvalRoot(d *Document) (Value, error) {
 func (c *Compiled) EvalOptions(ctx Context, opts EvalOptions) (Value, error) {
 	if opts.Engine == EngineAuto {
 		opts.Engine = c.Bound
-		if (opts.Engine == EngineStreaming || opts.Engine == EngineVM) && opts.Trace != nil {
-			// Neither the NFA nor the flat bytecode has per-subexpression
-			// spans to trace; traced runs use the tree engine the fragment
-			// recommends instead.
+		if opts.Engine == EngineVM && opts.Trace != nil {
+			// The flat bytecode has no per-subexpression spans to trace;
+			// traced runs use the tree engine the fragment recommends
+			// instead.
 			opts.Engine = c.treeEngine()
 		}
 		if c.vmIneligible != "" && opts.Metrics != nil {

@@ -16,13 +16,19 @@ func TestAutoSelectionSinglePath(t *testing.T) {
 	type row struct {
 		name, doc, query, ctxID string
 		nodeless                bool
+		// engine pins an explicit engine instead of the plan binding;
+		// bound asserts the binding itself.
+		engine, bound Engine
 	}
 	var rows []row
 	for _, tc := range enginetest.Cases {
 		rows = append(rows, row{name: tc.Name, doc: tc.Doc, query: tc.Query, ctxID: tc.CtxID})
 	}
 	rows = append(rows,
-		row{name: "streaming-bound", doc: "tree", query: "//a/b"},
+		// A downward predicate-free path binds to the VM; the streaming
+		// NFA serves it only when pinned.
+		row{name: "downward-path-vm-bound", doc: "tree", query: "//a/b", bound: EngineVM},
+		row{name: "streaming-pinned", doc: "tree", query: "//a/b", engine: EngineStreaming},
 		row{name: "nodeless-value", query: "1 + 2", nodeless: true},
 		row{name: "nodeless-path", query: "//a", nodeless: true},
 	)
@@ -45,7 +51,7 @@ func TestAutoSelectionSinglePath(t *testing.T) {
 		cache := NewResultCache(0, 0)
 		fr := captureAll(4)
 		m := NewMetrics()
-		opts := EvalOptions{Cache: cache, Flight: fr, Metrics: m}
+		opts := EvalOptions{Engine: r.engine, Cache: cache, Flight: fr, Metrics: m}
 		adhoc := func() (Value, error) { return MustCompile(r.query).EvalOptions(ctx, opts) }
 		prepared := func() (Value, error) { return MustPrepare(r.query).EvalOptions(ctx, opts) }
 		first, second := adhoc, prepared
@@ -73,8 +79,16 @@ func TestAutoSelectionSinglePath(t *testing.T) {
 		if recs[1].Engine != engine {
 			t.Fatalf("%s (%s): engines differ: %s vs %s", r.name, r.query, engine, recs[1].Engine)
 		}
-		if want := MustPrepare(r.query).Bound.String(); engine != want {
-			t.Errorf("%s (%s): served by %s, plan binds %s", r.name, r.query, engine, want)
+		bound := MustPrepare(r.query).Bound
+		if r.bound != EngineAuto && bound != r.bound {
+			t.Errorf("%s (%s): plan binds %s, want %s", r.name, r.query, bound, r.bound)
+		}
+		want := bound
+		if r.engine != EngineAuto {
+			want = r.engine
+		}
+		if engine != want.String() {
+			t.Errorf("%s (%s): served by %s, want %s", r.name, r.query, engine, want)
 		}
 		engines[engine]++
 

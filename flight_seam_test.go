@@ -154,21 +154,25 @@ func TestFlightAutoEngine(t *testing.T) {
 	ctx := evalctx.Root(d)
 	fr := captureAll(16)
 
-	for _, q := range []string{
-		"//a/b",                        // downward predicate-free: the streaming NFA
-		"//a[b]",                       // predicated Core XPath: the bytecode VM
-		"//a[position() + 1 = last()]", // outside the counting fragment: cvt
+	for _, r := range []struct {
+		q      string
+		engine Engine
+	}{
+		{"//a/b", EngineStreaming},                   // pinned: the streaming NFA
+		{"//a/b", EngineAuto},                        // downward predicate-free: the bytecode VM
+		{"//a[b = 'x']", EngineAuto},                 // path-versus-literal comparison: the VM
+		{"//a[position() + 1 = last()]", EngineAuto}, // outside the VM's fragment: cvt
 	} {
-		if _, err := MustCompile(q).EvalOptions(ctx, EvalOptions{Flight: fr}); err != nil {
+		if _, err := MustCompile(r.q).EvalOptions(ctx, EvalOptions{Engine: r.engine, Flight: fr}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	recs := fr.Slow()
-	if len(recs) != 3 {
-		t.Fatalf("%d records, want 3", len(recs))
+	if len(recs) != 4 {
+		t.Fatalf("%d records, want 4", len(recs))
 	}
-	for i, want := range []string{"streaming", "vm", "cvt"} {
+	for i, want := range []string{"streaming", "vm", "vm", "cvt"} {
 		if recs[i].Engine != want {
 			t.Errorf("record %d (%s) engine = %q, want %q", i, recs[i].Query, recs[i].Engine, want)
 		}

@@ -239,14 +239,18 @@ func TestGuardPanicRecovery(t *testing.T) {
 func TestGuardAutoLadderMetrics(t *testing.T) {
 	d := guardChainDoc(t, 5)
 	ctx := RootContext(d)
-	runAuto := func(t *testing.T, q string) (Value, MetricsSnapshot) {
+	runEngine := func(t *testing.T, q string, e Engine) (Value, MetricsSnapshot) {
 		t.Helper()
 		m := NewMetrics()
-		v, err := MustCompile(q).EvalOptions(ctx, EvalOptions{Metrics: m})
+		v, err := MustCompile(q).EvalOptions(ctx, EvalOptions{Engine: e, Metrics: m})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return v, m.Snapshot()
+	}
+	runAuto := func(t *testing.T, q string) (Value, MetricsSnapshot) {
+		t.Helper()
+		return runEngine(t, q, EngineAuto)
 	}
 	wantEvals := func(t *testing.T, s MetricsSnapshot, engine string) {
 		t.Helper()
@@ -262,11 +266,20 @@ func TestGuardAutoLadderMetrics(t *testing.T) {
 	}
 
 	t.Run("streaming-selected", func(t *testing.T) {
-		v, s := runAuto(t, "/descendant::a/child::b")
+		// The NFA serves only when pinned: the plan binding prefers the VM.
+		v, s := runEngine(t, "/descendant::a/child::b", EngineStreaming)
 		if len(v.(NodeSet)) != 5 {
 			t.Errorf("result = %d nodes, want 5", len(v.(NodeSet)))
 		}
 		wantEvals(t, s, "streaming")
+	})
+
+	t.Run("downward-path-vm-selected", func(t *testing.T) {
+		v, s := runAuto(t, "/descendant::a/child::b")
+		if len(v.(NodeSet)) != 5 {
+			t.Errorf("result = %d nodes, want 5", len(v.(NodeSet)))
+		}
+		wantEvals(t, s, "vm")
 	})
 
 	t.Run("vm-selected", func(t *testing.T) {

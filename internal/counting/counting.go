@@ -379,9 +379,10 @@ const noAxis = ast.Axis(^uint8(0))
 // (Definition 2.5 with the Remark 3.1 label test and the explicit
 // boolean()/true()/false() conversions) extended with the positional
 // shapes of this package on countable or singleton axes, plus
-// constant-foldable numeric leaves in boolean context. Everything the
-// bytecode VM compiles passes Check, and everything passing Check the
-// extended corelinear evaluator evaluates.
+// constant-foldable numeric leaves in boolean context. Everything
+// passing Check the extended corelinear evaluator evaluates and the
+// bytecode VM compiles; the VM additionally compiles path-versus-literal
+// comparisons and top-level count()/sum(), which Check rejects.
 func Check(expr ast.Expr) error {
 	return check(expr, noAxis, 0, make(map[checkKey]bool))
 }

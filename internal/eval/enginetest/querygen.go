@@ -22,7 +22,8 @@ const (
 	// predicates, position()/last(), arithmetic, no negation.
 	GenPWF
 	// GenFull: everything the engine supports, including negation,
-	// iterated predicates, aggregates and string functions.
+	// iterated predicates, aggregates, string functions and
+	// path-versus-literal comparisons.
 	GenFull
 	// GenPositional: the counting fragment — Core XPath shapes biased
 	// toward countable axes, plus positional predicates: bare numbers,
@@ -206,9 +207,25 @@ func (g *QueryGen) condition(depth int) string {
 		options = append(options,
 			func() string { return fmt.Sprintf("count(%s) %s %d", g.path(0, false), g.relop(), g.rng.Intn(4)) },
 			func() string { return fmt.Sprintf("contains(%s, '%s')", g.path(0, false), g.pick(g.Tags)) },
+			func() string {
+				if g.rng.Intn(4) == 0 {
+					return fmt.Sprintf("%s %s %s", g.literal(), g.relop(), g.path(0, false))
+				}
+				return fmt.Sprintf("%s %s %s", g.path(0, false), g.relop(), g.literal())
+			},
 		)
 	}
 	return options[g.rng.Intn(len(options))]()
+}
+
+// literal emits a comparison constant: a string from the t0–t99 text
+// vocabulary of xmltree.RandomDocument, so equality hits real text
+// nodes, or a small number.
+func (g *QueryGen) literal() string {
+	if g.rng.Intn(3) == 0 {
+		return fmt.Sprintf("%d", g.rng.Intn(5))
+	}
+	return fmt.Sprintf("'t%d'", g.rng.Intn(100))
 }
 
 func (g *QueryGen) relop() string {

@@ -33,6 +33,7 @@ import (
 	"container/list"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"xpathcomplexity/internal/eval/evalctx"
 	"xpathcomplexity/internal/obs"
@@ -128,6 +129,8 @@ type Cache struct {
 	entries    map[Key]*list.Element
 	docs       map[uint64]*entry // head of each fingerprint's entry chain
 	inflight   map[Key]*call
+	// gaugesOn is the registry RegisterGauges last attached to.
+	gaugesOn atomic.Pointer[obs.Metrics]
 
 	hits, misses, evictions, inflightWaits, admissions, invalidations int64
 }
@@ -449,20 +452,25 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// RecordMetrics copies the cache's cumulative statistics into a metrics
-// registry as absolute-valued gauges (cache.size, cache.bytes,
-// cache.hits_total, ...), the pattern PlanCache.RecordMetrics set.
-func (c *Cache) RecordMetrics(m *obs.Metrics) {
-	if m == nil {
+// RegisterGauges exposes the cache's statistics on m as gauges read at
+// snapshot time: cache.size, cache.bytes, cache.hits_total,
+// cache.misses_total, cache.evictions_total and
+// cache.inflight_waits_total. They are exact on every scrape —
+// including after InvalidateDocument or Clear shrink the cache — and
+// no evaluation pays to push them. Registering the same registry again
+// is a no-op costing one atomic load, so per-batch callers may call it
+// freely.
+func (c *Cache) RegisterGauges(m *obs.Metrics) {
+	if m == nil || c.gaugesOn.Load() == m {
 		return
 	}
-	st := c.Stats()
-	m.Gauge("cache.size").SetMax(int64(st.Size))
-	m.Gauge(MetricBytes).SetMax(st.Bytes)
-	m.Gauge("cache.hits_total").SetMax(st.Hits)
-	m.Gauge("cache.misses_total").SetMax(st.Misses)
-	m.Gauge("cache.evictions_total").SetMax(st.Evictions)
-	m.Gauge("cache.inflight_waits_total").SetMax(st.InflightWaits)
+	m.GaugeFunc("cache.size", func() int64 { return int64(c.Stats().Size) })
+	m.GaugeFunc(MetricBytes, func() int64 { return c.Stats().Bytes })
+	m.GaugeFunc("cache.hits_total", func() int64 { return c.Stats().Hits })
+	m.GaugeFunc("cache.misses_total", func() int64 { return c.Stats().Misses })
+	m.GaugeFunc("cache.evictions_total", func() int64 { return c.Stats().Evictions })
+	m.GaugeFunc("cache.inflight_waits_total", func() int64 { return c.Stats().InflightWaits })
+	c.gaugesOn.Store(m)
 }
 
 func bypassMetric(o Outcome) string {

@@ -449,7 +449,7 @@ func TestLeaderPanicUnwedgesKey(t *testing.T) {
 	}
 }
 
-func TestRecordMetrics(t *testing.T) {
+func TestRegisterGauges(t *testing.T) {
 	d := testDoc(t, `<r/>`)
 	c := New(8, 1<<16)
 	if _, err := c.Do(keyFor(d, "q"), d, nil, func() (value.Value, error) {
@@ -461,13 +461,19 @@ func TestRecordMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := obs.NewMetrics()
-	c.RecordMetrics(m)
+	c.RegisterGauges(m)
+	c.RegisterGauges(m) // idempotent
 	s := m.Snapshot()
 	if s.Gauge("cache.size") != 1 || s.Gauge("cache.hits_total") != 1 || s.Gauge("cache.misses_total") != 1 {
-		t.Fatalf("recorded gauges wrong: %v", s.Gauges)
+		t.Fatalf("registered gauges wrong: %v", s.Gauges)
 	}
 	if s.Gauge(MetricBytes) <= 0 {
-		t.Fatal("cache.bytes gauge not recorded")
+		t.Fatal("cache.bytes gauge not registered")
+	}
+	// The gauges read the cache at snapshot time, so they shrink with it.
+	c.InvalidateDocument(d.Fingerprint())
+	if s := m.Snapshot(); s.Gauge("cache.size") != 0 || s.Gauge(MetricBytes) != 0 {
+		t.Fatalf("after invalidation: size %d bytes %d, want 0 0", s.Gauge("cache.size"), s.Gauge(MetricBytes))
 	}
 }
 

@@ -201,6 +201,7 @@ func New(cfg Config) *Server {
 	}
 	s.registry = NewRegistry(cfg.RegistryShards, cfg.MaxResidentBytes, s.cache)
 	s.registry.registerGauges(s.metrics)
+	s.cache.RegisterGauges(s.metrics)
 	s.adm = newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait, cfg.TenantConcurrency)
 
 	// The PR 7 debug surface is the base mux — /metrics, /debug/xpath/*,

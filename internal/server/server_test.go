@@ -356,22 +356,7 @@ func TestDocumentLifecycle(t *testing.T) {
 // with no eval request in between to push them.
 func TestRegistryGaugesAtScrape(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	docsGauge := func() string {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatalf("/metrics: %v", err)
-		}
-		defer resp.Body.Close()
-		text, _ := io.ReadAll(resp.Body)
-		for _, line := range strings.Split(string(text), "\n") {
-			if name, v, ok := strings.Cut(line, " "); ok && strings.HasSuffix(name, "registry_docs") {
-				return v
-			}
-		}
-		t.Fatalf("/metrics has no registry_docs sample:\n%.2000s", text)
-		return ""
-	}
+	docsGauge := func() string { return scrapeSample(t, ts, "xpath_registry_docs") }
 	info := loadDoc(t, ts, testDoc)
 	if got := docsGauge(); got != "1" {
 		t.Errorf("registry_docs after load = %s, want 1", got)
@@ -387,6 +372,48 @@ func TestRegistryGaugesAtScrape(t *testing.T) {
 	}
 	if got := docsGauge(); got != "0" {
 		t.Errorf("registry_docs after delete = %s, want 0", got)
+	}
+}
+
+// scrapeSample returns the value of the named /metrics sample.
+func scrapeSample(t *testing.T, ts *httptest.Server, sample string) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	text, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(text), "\n") {
+		if name, v, ok := strings.Cut(line, " "); ok && name == sample {
+			return v
+		}
+	}
+	t.Fatalf("/metrics has no %s sample:\n%.2000s", sample, text)
+	return ""
+}
+
+// The result-cache gauges are read at scrape time too, so cache_size
+// follows the cache down after a delete invalidates its entries: admit
+// two results, delete the document, re-load it and admit one.
+func TestCacheGaugesAtScrape(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	info := loadDoc(t, ts, testDoc)
+	evalReq(t, ts, info.Fingerprint, []string{"//b"}, nil)
+	evalReq(t, ts, info.Fingerprint, []string{"count(//b)"}, nil)
+	if got, want := scrapeSample(t, ts, "xpath_cache_size"), fmt.Sprint(s.cache.Stats().Size); got != want || want != "2" {
+		t.Errorf("cache_size after two admissions = %s, Stats().Size = %s, want 2", got, want)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/documents/"+info.Fingerprint, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	info = loadDoc(t, ts, testDoc)
+	evalReq(t, ts, info.Fingerprint, []string{"//b"}, nil)
+	if got, want := scrapeSample(t, ts, "xpath_cache_size"), fmt.Sprint(s.cache.Stats().Size); got != want || want != "1" {
+		t.Errorf("cache_size after invalidate and re-admit = %s, Stats().Size = %s, want 1", got, want)
 	}
 }
 

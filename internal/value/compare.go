@@ -43,33 +43,86 @@ func Compare(op ast.BinOp, a, b Value) bool {
 		}
 		return false
 	case aIsSet:
-		for _, x := range an {
-			if compareScalarPair(op, nodeScalar(x, b), b) {
-				return true
-			}
-		}
-		return false
+		return NewLiteralCmp(op, b).matchAny(an)
 	case bIsSet:
-		for _, y := range bn {
-			if compareScalarPair(op, a, nodeScalar(y, a)) {
-				return true
-			}
-		}
-		return false
+		return NewLiteralCmp(MirrorOp(op), a).matchAny(bn)
 	default:
 		return compareScalarPair(op, a, b)
 	}
 }
 
-// nodeScalar converts a node to the scalar kind demanded by the other
-// comparison operand (§3.4: node-set vs number compares numbers, vs string
-// compares strings; the boolean case is handled before the existential
-// loops in Compare).
-func nodeScalar(n interface{ StringValue() string }, other Value) Value {
-	if _, ok := other.(Number); ok {
-		return Number(ParseNumber(n.StringValue()))
+// LiteralCmp is the node-set-vs-literal comparison of §3.4 applied to
+// one node at a time: a node-set op lit is true iff some node's
+// string-value s satisfies s op lit. Against a number literal, or under
+// a relational operator, both sides compare as numbers (a NaN side makes
+// every operator but != false); against a string literal, = and !=
+// compare strings. Every engine decides node-vs-literal comparisons
+// through this type — Compare's existential loop and the bytecode VM's
+// whole-document condition fill — so the semantics cannot drift.
+//
+// LiteralCmp is small and comparable, so the VM pools it like any
+// other compile-time constant.
+type LiteralCmp struct {
+	// Op is the relational operator, with the node on its left; a
+	// literal on the left of the source comparison is stated with
+	// MirrorOp.
+	Op ast.BinOp
+	// IsNum selects a number literal, Num; otherwise the literal is the
+	// string Str.
+	IsNum bool
+	Num   float64
+	Str   string
+}
+
+// NewLiteralCmp states "node op lit" for a String or Number literal; it
+// panics on any other operand kind or a non-relational operator.
+func NewLiteralCmp(op ast.BinOp, lit Value) LiteralCmp {
+	if !op.IsRelational() {
+		panic(fmt.Sprintf("value: NewLiteralCmp called with non-relational operator %v", op))
 	}
-	return String(n.StringValue())
+	switch l := lit.(type) {
+	case Number:
+		return LiteralCmp{Op: op, IsNum: true, Num: float64(l)}
+	case String:
+		return LiteralCmp{Op: op, Str: string(l)}
+	default:
+		panic(fmt.Sprintf("value: NewLiteralCmp called with a %s literal", lit.Kind()))
+	}
+}
+
+// Match reports whether a node with string-value s satisfies the
+// comparison.
+func (c LiteralCmp) Match(s string) bool {
+	if c.IsNum {
+		return compareNumbers(c.Op, ParseNumber(s), c.Num)
+	}
+	return compareStrings(c.Op, s, c.Str)
+}
+
+// matchAny is the existential form: whether some node of ns matches.
+func (c LiteralCmp) matchAny(ns NodeSet) bool {
+	for _, n := range ns {
+		if c.Match(n.StringValue()) {
+			return true
+		}
+	}
+	return false
+}
+
+// MirrorOp returns the operator that states "a op b" as "b op' a": the
+// order operators flip, = and != are symmetric.
+func MirrorOp(op ast.BinOp) ast.BinOp {
+	switch op {
+	case ast.OpLt:
+		return ast.OpGt
+	case ast.OpLe:
+		return ast.OpGe
+	case ast.OpGt:
+		return ast.OpLt
+	case ast.OpGe:
+		return ast.OpLe
+	}
+	return op
 }
 
 func compareScalarPair(op ast.BinOp, a, b Value) bool {

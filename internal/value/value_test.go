@@ -361,3 +361,43 @@ func TestNumberPrintingConsistentWithAST(t *testing.T) {
 		}
 	}
 }
+
+// TestLiteralCmp pins the per-node comparison every engine shares: the
+// same verdict through LiteralCmp.Match, through Compare's existential
+// node-set loop, and with the literal on the left under MirrorOp.
+func TestLiteralCmp(t *testing.T) {
+	cases := []struct {
+		op   ast.BinOp
+		s    string
+		lit  Value
+		want bool
+	}{
+		{ast.OpEq, "5", Number(5), true},
+		{ast.OpEq, " 5 ", Number(5), true},    // number() trims whitespace
+		{ast.OpEq, " 5 ", String("5"), false}, // strings compare verbatim
+		{ast.OpNeq, "x", Number(5), true},     // NaN != anything
+		{ast.OpEq, "x", Number(5), false},
+		{ast.OpLt, "x", Number(5), false},
+		{ast.OpGe, "x", Number(5), false},
+		{ast.OpLt, "3", String("10"), true}, // relational: numbers, not strings
+		{ast.OpLt, "3", String("abc"), false},
+		{ast.OpNeq, "abc", String("abc"), false},
+		{ast.OpEq, "", String(""), true},
+		{ast.OpGt, "2.5", Number(2), true},
+		{ast.OpLe, "-1", Number(-1), true},
+		{ast.OpGt, "7", Number(7), false},
+	}
+	for _, tc := range cases {
+		if got := NewLiteralCmp(tc.op, tc.lit).Match(tc.s); got != tc.want {
+			t.Errorf("NewLiteralCmp(%v, %#v).Match(%q) = %v, want %v", tc.op, tc.lit, tc.s, got, tc.want)
+		}
+		d := doc(t, "<a>"+tc.s+"</a>")
+		ns := NewNodeSet(d.DocumentElement())
+		if got := Compare(tc.op, ns, tc.lit); got != tc.want {
+			t.Errorf("Compare(%v, <a>%s</a>, %#v) = %v, want %v", tc.op, tc.s, tc.lit, got, tc.want)
+		}
+		if got := Compare(MirrorOp(tc.op), tc.lit, ns); got != tc.want {
+			t.Errorf("Compare(%v, %#v, <a>%s</a>) = %v, want %v", MirrorOp(tc.op), tc.lit, tc.s, got, tc.want)
+		}
+	}
+}

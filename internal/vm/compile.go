@@ -3,17 +3,20 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"xpathcomplexity/internal/counting"
+	"xpathcomplexity/internal/value"
 	"xpathcomplexity/internal/xpath/ast"
 )
 
 // ErrNotVM reports a query outside the fragment the VM compiles: Core
 // XPath (Definition 2.5 with the Remark 3.1 label test and the explicit
 // boolean()/true()/false() conversions) extended with the counting
-// fragment's positional predicates (package counting), with top-level
-// unions restricted to location-path operands — the same de-facto
-// surface the extended corelinear evaluator serves.
+// fragment's positional predicates (package counting), comparisons of
+// a location path with a string or number literal, and top-level
+// count()/sum() of a node-set; top-level unions are restricted to
+// location-path operands.
 var ErrNotVM = errors.New("query does not compile to VM bytecode")
 
 // IneligibleError is the concrete VM-ineligibility error: it wraps
@@ -22,8 +25,9 @@ var ErrNotVM = errors.New("query does not compile to VM bytecode")
 // why queries miss the fastest engine.
 type IneligibleError struct {
 	// Reason is the stable tag: "operator", "function", "expr-type",
-	// "union", "slot-overflow", "pool-overflow", "positional-axis",
-	// "positional-shape", "positional-context", "positional-shared".
+	// "union", "slot-overflow", "pool-overflow", "comparison",
+	// "positional-axis", "positional-shape", "positional-context",
+	// "positional-shared".
 	Reason string
 	// Detail is the human-readable specifics.
 	Detail string
@@ -96,6 +100,7 @@ func CompileWith(expr ast.Expr, opts Options) (*Program, error) {
 		c.testIdx = make(map[TestEntry]uint16)
 		c.labelIdx = make(map[string]uint16)
 		c.posIdx = make(map[counting.Cmp]uint16)
+		c.cmpIdx = make(map[value.LiteralCmp]uint16)
 	}
 	if err := c.top(expr); err != nil {
 		return nil, err
@@ -105,6 +110,7 @@ func CompileWith(expr ast.Expr, opts Options) (*Program, error) {
 		Tests:    c.tests,
 		Labels:   c.labels,
 		PosConds: c.posConds,
+		Cmps:     c.cmps,
 		NumSlots: int(c.next),
 	}
 	if !opts.DisablePeephole {
@@ -158,6 +164,8 @@ type compiler struct {
 	labelIdx map[string]uint16 // nil with DisableConstDedup
 	posConds []counting.Cmp
 	posIdx   map[counting.Cmp]uint16 // nil with DisableConstDedup
+	cmps     []value.LiteralCmp
+	cmpIdx   map[value.LiteralCmp]uint16 // nil with DisableConstDedup
 	// slots memoizes condition subexpressions (see condKey) so each is
 	// computed (and charged) once per evaluation.
 	slots map[condKey]uint16
@@ -236,14 +244,24 @@ func (c *compiler) posRef(cm counting.Cmp) (uint16, error) {
 }
 
 // top compiles the top-level expression: a path materializes forward, a
-// union of paths evaluates each side and unions the frontiers, anything
-// else is a condition answered at the context node.
+// union of paths evaluates each side and unions the frontiers, count()
+// and sum() of either reduce the materialized frontier to a number, and
+// anything else is a condition answered at the context node.
 func (c *compiler) top(expr ast.Expr) error {
+	ret, fn := OpRetSet, ""
+	if call, ok := expr.(*ast.Call); ok && len(call.Args) == 1 {
+		switch call.Name {
+		case "count":
+			ret, fn, expr = OpRetCount, call.Name, call.Args[0]
+		case "sum":
+			ret, fn, expr = OpRetSum, call.Name, call.Args[0]
+		}
+	}
 	if p, ok := expr.(*ast.Path); ok {
 		if err := c.fwdPath(p); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpRetSet})
+		c.emit(Instr{Op: ret})
 		return nil
 	}
 	if b, ok := expr.(*ast.Binary); ok && b.Op == ast.OpUnion {
@@ -270,8 +288,11 @@ func (c *compiler) top(expr ast.Expr) error {
 				c.emit(Instr{Op: OpSaveF, Dst: tmp})
 			}
 		}
-		c.emit(Instr{Op: OpRetSet})
+		c.emit(Instr{Op: ret})
 		return nil
+	}
+	if fn != "" {
+		return notVM("function", "%s() of a non-path argument", fn)
 	}
 	s, err := c.cond(expr, condEnv{base: NoBaseSlot})
 	if err != nil {
@@ -518,7 +539,13 @@ func (c *compiler) condInner(expr ast.Expr, env condEnv) (uint16, error) {
 				if cnd, ok := counting.RecognizeCmp(x); ok {
 					return c.posCond(cnd, env)
 				}
-				return 0, notVM("positional-shape", "relational %q over non-positional operands", x.Op)
+				if p, lc, ok := literalCmp(x); ok {
+					return c.bwdPath(p, &lc)
+				}
+				if positional(x.Left) || positional(x.Right) {
+					return 0, notVM("positional-shape", "relational %q over a position()/last() operand", x.Op)
+				}
+				return 0, notVM("comparison", "relational %q outside path-versus-literal", x.Op)
 			}
 			if env.boolCtx {
 				if cnd, ok := counting.RecognizeBool(x); ok {
@@ -589,7 +616,7 @@ func (c *compiler) condInner(expr ast.Expr, env condEnv) (uint16, error) {
 		c.emit(Instr{Op: OpCondLabel, Dst: dst, Test: li})
 		return dst, nil
 	case *ast.Path:
-		return c.bwdPath(x)
+		return c.bwdPath(x, nil)
 	default:
 		if env.boolCtx {
 			if cnd, ok := counting.RecognizeBool(expr); ok {
@@ -649,12 +676,71 @@ func (c *compiler) posCond(cnd counting.Cond, env condEnv) (uint16, error) {
 	return dst, nil
 }
 
+// literalCmp recognizes a comparison of a location path with a string
+// or number literal (constant-foldable numeric expressions included),
+// stating it with the path on the left. NaN constants stay out, keeping
+// the constant pool comparable.
+func literalCmp(b *ast.Binary) (*ast.Path, value.LiteralCmp, bool) {
+	p, ok := b.Left.(*ast.Path)
+	lit, op := b.Right, b.Op
+	if !ok {
+		p, ok = b.Right.(*ast.Path)
+		lit, op = b.Left, value.MirrorOp(b.Op)
+	}
+	if !ok || len(p.Steps) == 0 {
+		return nil, value.LiteralCmp{}, false
+	}
+	if l, ok := lit.(*ast.Literal); ok {
+		return p, value.LiteralCmp{Op: op, Str: l.Val}, true
+	}
+	if v, ok := counting.FoldConst(lit); ok && !math.IsNaN(v) {
+		return p, value.LiteralCmp{Op: op, IsNum: true, Num: v}, true
+	}
+	return nil, value.LiteralCmp{}, false
+}
+
+// positional reports whether a comparison operand is a position() or
+// last() call, possibly under arithmetic — the shapes the counting
+// recognizer owns, so their rejection keeps its positional tag.
+func positional(e ast.Expr) bool {
+	switch x := e.(type) {
+	case *ast.Call:
+		return x.Name == "position" || x.Name == "last"
+	case *ast.Unary:
+		return positional(x.Operand)
+	case *ast.Binary:
+		return x.Op.IsArithmetic() && (positional(x.Left) || positional(x.Right))
+	}
+	return false
+}
+
+// cmpRef interns a literal comparison in the constant pool.
+func (c *compiler) cmpRef(lc value.LiteralCmp) (uint16, error) {
+	if c.cmpIdx != nil {
+		if i, ok := c.cmpIdx[lc]; ok {
+			return i, nil
+		}
+	}
+	if len(c.cmps) > int(^uint16(0)) {
+		return 0, notVM("pool-overflow", "comparison pool overflow")
+	}
+	i := uint16(len(c.cmps))
+	c.cmps = append(c.cmps, lc)
+	if c.cmpIdx != nil {
+		c.cmpIdx[lc] = i
+	}
+	return i, nil
+}
+
 // bwdPath emits the backward pass computing E[π] = { x | π from x
 // selects ≥1 node }, right-to-left with inverse-axis operations. All
 // predicate condition subprograms are hoisted ahead of the chain — the
 // machine has a single backward accumulator, so a nested condition path
-// must finish before this one starts.
-func (c *compiler) bwdPath(p *ast.Path) (uint16, error) {
+// must finish before this one starts. A non-nil lc makes it E[π op c]:
+// an OpCondCmp slot of the last step's satisfying nodes joins that
+// step's predicates, after the positional ones, so it filters without
+// renumbering.
+func (c *compiler) bwdPath(p *ast.Path, lc *value.LiteralCmp) (uint16, error) {
 	predSlots := make([][]uint16, len(p.Steps))
 	for i := len(p.Steps) - 1; i >= 0; i-- {
 		ps, _, err := c.conds(p.Steps[i], -1)
@@ -662,6 +748,23 @@ func (c *compiler) bwdPath(p *ast.Path) (uint16, error) {
 			return 0, err
 		}
 		predSlots[i] = ps
+	}
+	if lc != nil {
+		last := p.Steps[len(p.Steps)-1]
+		ti, err := c.testRef(last.Axis, last.Test)
+		if err != nil {
+			return 0, err
+		}
+		ci, err := c.cmpRef(*lc)
+		if err != nil {
+			return 0, err
+		}
+		s, err := c.alloc()
+		if err != nil {
+			return 0, err
+		}
+		c.emit(Instr{Op: OpCondCmp, Axis: last.Axis, Test: ti, A: ci, Dst: s})
+		predSlots[len(p.Steps)-1] = append(predSlots[len(p.Steps)-1], s)
 	}
 	dst, err := c.alloc()
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"xpathcomplexity/internal/counting"
+	"xpathcomplexity/internal/value"
 	"xpathcomplexity/internal/xpath/ast"
 )
 
@@ -62,7 +63,7 @@ var opByName = func() map[string]Op {
 func (o Op) usesAxis() bool {
 	switch o {
 	case OpStep, OpStepCond, OpAxisF, OpInvStep, OpInvStepCond, OpInvAxis,
-		OpStepPos, OpStepPosBase, OpCondPos:
+		OpStepPos, OpStepPosBase, OpCondPos, OpCondCmp:
 		return true
 	}
 	return false
@@ -99,6 +100,9 @@ func (p *Program) Disassemble() string {
 	for i, c := range p.PosConds {
 		fmt.Fprintf(&b, "poscond %d %s %s %s\n", i, c.Left, c.Op, c.Right)
 	}
+	for i, c := range p.Cmps {
+		fmt.Fprintf(&b, "cmp %d %s %s\n", i, c.Op, literalText(c))
+	}
 	for i, in := range p.Code {
 		fmt.Fprintf(&b, "%3d: %s", i, in.Op)
 		if in.Axis != 0 {
@@ -132,6 +136,10 @@ func (p *Program) Disassemble() string {
 				c := p.PosConds[pi]
 				fmt.Fprintf(&b, "[%s %s %s]", c.Left, c.Op, c.Right)
 			}
+			if in.Op == OpCondCmp && int(in.A) < len(p.Cmps) {
+				c := p.Cmps[in.A]
+				fmt.Fprintf(&b, "[. %s %s]", c.Op, literalText(c))
+			}
 		} else if in.Op == OpCondLabel && int(in.Test) < len(p.Labels) {
 			fmt.Fprintf(&b, "\t; T(%s)", p.Labels[in.Test])
 		}
@@ -150,11 +158,7 @@ func Assemble(src string) (*Program, error) {
 	lineNo := 0
 	for _, raw := range strings.Split(src, "\n") {
 		lineNo++
-		line := raw
-		if i := strings.IndexByte(line, ';'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
+		line := strings.TrimSpace(stripComment(raw))
 		if line == "" {
 			continue
 		}
@@ -197,8 +201,8 @@ func Assemble(src string) (*Program, error) {
 				return nil, fmt.Errorf("vm: line %d: unknown test kind %q", lineNo, fields[3])
 			}
 			e.Test.Kind = kind
-			// The quoted name is the remainder after the first three fields.
-			rest := strings.TrimSpace(strings.SplitN(line, fields[3], 2)[1])
+			// The quoted name is the remainder after the first four fields.
+			rest := afterFields(line, 4)
 			name, err := strconv.Unquote(rest)
 			if err != nil {
 				return nil, fmt.Errorf("vm: line %d: bad test name %s: %v", lineNo, rest, err)
@@ -235,6 +239,36 @@ func Assemble(src string) (*Program, error) {
 				return nil, fmt.Errorf("vm: line %d: %v", lineNo, err)
 			}
 			p.PosConds = append(p.PosConds, c)
+		case "cmp":
+			if len(fields) < 4 {
+				return nil, fmt.Errorf("vm: line %d: want %q", lineNo, "cmp <idx> <op> <literal>")
+			}
+			i, err := atoiField(fields, 1, lineNo)
+			if err != nil {
+				return nil, err
+			}
+			if i != len(p.Cmps) {
+				return nil, fmt.Errorf("vm: line %d: cmp index %d out of order", lineNo, i)
+			}
+			op, ok := relopByName[fields[2]]
+			if !ok {
+				return nil, fmt.Errorf("vm: line %d: unknown relational operator %q", lineNo, fields[2])
+			}
+			c := value.LiteralCmp{Op: op}
+			// The literal is the remainder after the operator: a quoted
+			// string, or a bare number.
+			rest := afterFields(line, 3)
+			if strings.HasPrefix(rest, `"`) {
+				if c.Str, err = strconv.Unquote(rest); err != nil {
+					return nil, fmt.Errorf("vm: line %d: bad string literal %s: %v", lineNo, rest, err)
+				}
+			} else {
+				c.IsNum = true
+				if c.Num, err = strconv.ParseFloat(rest, 64); err != nil {
+					return nil, fmt.Errorf("vm: line %d: bad number literal %q: %v", lineNo, rest, err)
+				}
+			}
+			p.Cmps = append(p.Cmps, c)
 		case "label":
 			if len(fields) < 3 {
 				return nil, fmt.Errorf("vm: line %d: want %q", lineNo, "label <idx> <name>")
@@ -246,7 +280,7 @@ func Assemble(src string) (*Program, error) {
 			if i != len(p.Labels) {
 				return nil, fmt.Errorf("vm: line %d: label index %d out of order", lineNo, i)
 			}
-			rest := strings.TrimSpace(strings.SplitN(line, fields[1], 2)[1])
+			rest := afterFields(line, 2)
 			l, err := strconv.Unquote(rest)
 			if err != nil {
 				return nil, fmt.Errorf("vm: line %d: bad label %s: %v", lineNo, rest, err)
@@ -307,6 +341,47 @@ func Assemble(src string) (*Program, error) {
 		return nil, fmt.Errorf("vm: empty assembly source")
 	}
 	return p, nil
+}
+
+// stripComment cuts a line at its first ';' outside a quoted string, so
+// pool literals may contain the comment character.
+func stripComment(line string) string {
+	quoted := false
+	for i := 0; i < len(line); i++ {
+		switch c := line[i]; {
+		case quoted && c == '\\':
+			i++
+		case c == '"':
+			quoted = !quoted
+		case c == ';' && !quoted:
+			return line[:i]
+		}
+	}
+	return line
+}
+
+// afterFields returns line with its first n whitespace-separated fields
+// removed: the remainder of a directive whose last operand is a quoted
+// string that may itself contain whitespace.
+func afterFields(line string, n int) string {
+	for i := 0; i < n; i++ {
+		line = strings.TrimLeft(line, " \t")
+		if j := strings.IndexAny(line, " \t"); j >= 0 {
+			line = line[j:]
+		} else {
+			line = ""
+		}
+	}
+	return strings.TrimSpace(line)
+}
+
+// literalText spells a comparison literal for the cmp pool directive:
+// a Go-quoted string, or the shortest number that parses back exactly.
+func literalText(c value.LiteralCmp) string {
+	if c.IsNum {
+		return strconv.FormatFloat(c.Num, 'g', -1, 64)
+	}
+	return strconv.Quote(c.Str)
 }
 
 func atoiField(fields []string, i, lineNo int) (int, error) {

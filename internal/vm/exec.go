@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"xpathcomplexity/internal/axes"
 	"xpathcomplexity/internal/counting"
@@ -120,6 +121,10 @@ type machine struct {
 	// positional step (indexed by parent ord, zeroed at each use).
 	posRank  []int32
 	posTotal []int32
+
+	// text is the string-value scratch buffer of the comparison and
+	// sum() loops (see strval).
+	text []byte
 }
 
 // release returns the machine and its arena-backed scratch memory to
@@ -136,6 +141,9 @@ func (m *machine) release() {
 	m.visBuf, m.pruneBuf = nil, nil
 	m.sparse = false
 	m.modeSwitches = 0
+	if cap(m.text) > maxPooledText {
+		m.text = nil
+	}
 	machinePool.Put(m)
 }
 
@@ -364,11 +372,77 @@ func (m *machine) exec(ctx evalctx.Context) (value.Value, error) {
 			}
 		case OpAndSlot:
 			m.slots[in.Dst] = m.arena.And(m.slots[in.A], m.slots[in.B])
+		case OpCondCmp:
+			if err := m.charge(); err != nil {
+				return nil, err
+			}
+			m.slots[in.Dst] = m.condCmp(m.testSet(in.Test), p.Cmps[in.A])
+		case OpRetCount:
+			if err := m.charge(); err != nil {
+				return nil, err
+			}
+			m.ensureDense()
+			return value.Number(m.dense.Count()), nil
+		case OpRetSum:
+			if err := m.charge(); err != nil {
+				return nil, err
+			}
+			m.ensureDense()
+			return value.Number(m.sum(m.dense)), nil
 		default:
 			return nil, fmt.Errorf("vm: invalid opcode %d", in.Op)
 		}
 	}
 	return nil, fmt.Errorf("vm: program ended without a return instruction")
+}
+
+// maxPooledText bounds the string-value buffer a pooled machine keeps;
+// a larger one (a huge mixed-content element) goes back to the GC.
+const maxPooledText = 64 << 10
+
+// strval returns n's string-value assembled in the machine's reusable
+// buffer. The string aliases the buffer: it is valid only until the
+// next call, so callers inspect it (LiteralCmp.Match, ParseNumber —
+// neither retains its argument) and drop it. This keeps the comparison
+// and sum() loops allocation-free on mixed-content elements, where
+// StringValue would build a fresh string per node.
+func (m *machine) strval(n *xmltree.Node) string {
+	m.text = n.AppendStringValue(m.text[:0])
+	return unsafe.String(unsafe.SliceData(m.text), len(m.text))
+}
+
+// condCmp computes a literal-comparison condition set: the members of
+// the test set whose string-value satisfies lc, one string-value per
+// candidate. It allocates only its output set, from the arena.
+func (m *machine) condCmp(ts nodeset.Set, lc value.LiteralCmp) nodeset.Set {
+	out := m.arena.New(m.doc)
+	nodes := m.doc.Nodes
+	for wi, w := range ts.Words {
+		for w != 0 {
+			ord := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			if lc.Match(m.strval(nodes[ord])) {
+				out.Words[wi] |= 1 << (uint(ord) & 63)
+			}
+		}
+	}
+	return out
+}
+
+// sum adds the members' string-values converted to numbers in document
+// order — the order sum() over a sorted node-set adds them in, so the
+// floating-point result is identical to the tree engines'.
+func (m *machine) sum(s nodeset.Set) float64 {
+	total := 0.0
+	nodes := m.doc.Nodes
+	for wi, w := range s.Words {
+		for w != 0 {
+			ord := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			total += value.ParseNumber(m.strval(nodes[ord]))
+		}
+	}
+	return total
 }
 
 // sparseDivisor bounds list-mode frontiers, as in corelinear: a

@@ -54,7 +54,7 @@ func foldConsts(p *Program) {
 			val[in.Dst] = latFull
 		case OpCondFalse:
 			val[in.Dst] = latEmpty
-		case OpCondLabel, OpStore, OpSaveF:
+		case OpCondLabel, OpCondCmp, OpStore, OpSaveF:
 			val[in.Dst] = latUnknown
 		case OpCondPos:
 			if in.A != NoBaseSlot && val[in.A] == latFull {
@@ -223,7 +223,7 @@ func elimDead(p *Program) {
 		for i := 0; i < len(p.Code); i++ {
 			in := p.Code[i]
 			switch in.Op {
-			case OpCondTrue, OpCondFalse, OpCondLabel, OpAnd, OpOr, OpNot,
+			case OpCondTrue, OpCondFalse, OpCondLabel, OpCondCmp, OpAnd, OpOr, OpNot,
 				OpCopy, OpCondPos, OpAndSlot:
 				if !read[in.Dst] {
 					if in.Op.charges() {
@@ -283,13 +283,13 @@ func compactSlots(p *Program) {
 
 // slotFields visits every operand field of in that holds a condition
 // slot — and only those: constant-pool indices (Test, OpStepPos.A,
-// OpCondPos.B), end-of-step markers and the NoBaseSlot sentinel are
-// not slots.
+// OpCondPos.B, OpCondCmp.A), end-of-step markers and the NoBaseSlot
+// sentinel are not slots.
 func slotFields(in *Instr, f func(*uint16)) {
 	switch in.Op {
 	case OpStepCond, OpInvStepCond, OpFilterF, OpOrF, OpAndAcc, OpRetBool:
 		f(&in.A)
-	case OpSaveF, OpStore, OpCondTrue, OpCondFalse, OpCondLabel:
+	case OpSaveF, OpStore, OpCondTrue, OpCondFalse, OpCondLabel, OpCondCmp:
 		f(&in.Dst)
 	case OpAnd, OpOr, OpAndSlot:
 		f(&in.A)

@@ -3,7 +3,14 @@
 // nodeset. It is the sixth engine of the facade (EngineVM) and computes
 // exactly what the corelinear evaluator computes — the forward
 // frontier/backward condition-set algorithm of Proposition 2.7 — but
-// with the per-evaluation interpretation overhead compiled away:
+// with the per-evaluation interpretation overhead compiled away. The
+// same algebra also carries two shapes corelinear leaves to cvt: a
+// comparison of a path with a literal is one more whole-document
+// condition set on the path's last step (OpCondCmp), and top-level
+// count()/sum() reduce the materialized frontier (OpRetCount,
+// OpRetSum).
+//
+// The compiled form:
 //
 //   - the fragment check, the condition memo map and the node-test
 //     resolution all happen once at compile time (conditions become
@@ -24,6 +31,7 @@ package vm
 
 import (
 	"xpathcomplexity/internal/counting"
+	"xpathcomplexity/internal/value"
 	"xpathcomplexity/internal/xpath/ast"
 )
 
@@ -134,6 +142,21 @@ const (
 	// The base probe subsumes the earlier predicates' filters, so no
 	// residual OpFilterF is emitted for them. Charges like OpStepPos.
 	OpStepPosBase
+	// OpCondCmp fills a literal-comparison condition slot (Proposition
+	// 2.7's algebra extended with π op c): slots[Dst] ← the nodes of
+	// tests[Test] whose string-value satisfies Cmps[A]. The backward
+	// pass ANDs the slot into π's last step, so E[π op c] is the set of
+	// nodes from which π reaches a satisfying node. Axis is π's last
+	// step's, for the disassembly comment. Charges one condition node.
+	OpCondCmp
+	// OpRetCount returns |F| as a number (top-level count()). Charges
+	// one condition node, the function call.
+	OpRetCount
+	// OpRetSum returns the sum of F's nodes' string-values converted to
+	// numbers, accumulated in document order so the float result is
+	// bit-identical to the tree engines' (top-level sum()). Charges one
+	// condition node, the function call.
+	OpRetSum
 )
 
 var opNames = [...]string{
@@ -149,7 +172,8 @@ var opNames = [...]string{
 	OpAnd: "and", OpOr: "or", OpNot: "not", OpCopy: "copy",
 	OpRetSet: "retset", OpRetBool: "retbool",
 	OpCondPos: "condpos", OpStepPos: "steppos", OpAndSlot: "andslot",
-	OpStepPosBase: "stepposbase",
+	OpStepPosBase: "stepposbase", OpCondCmp: "condcmp",
+	OpRetCount: "retcount", OpRetSum: "retsum",
 }
 
 // String returns the opcode's assembly mnemonic.
@@ -167,7 +191,7 @@ func (o Op) charges() bool {
 	switch o {
 	case OpStep, OpStepCond, OpAxisF, OpBegin, OpInvStep, OpInvStepCond,
 		OpTestAnd, OpCondTrue, OpCondFalse, OpCondLabel,
-		OpAnd, OpOr, OpNot, OpCopy, OpCondPos:
+		OpAnd, OpOr, OpNot, OpCopy, OpCondPos, OpCondCmp, OpRetCount, OpRetSum:
 		return true
 	}
 	return false
@@ -188,7 +212,10 @@ type Instr struct {
 	Axis ast.Axis
 	// Test indexes the Tests pool (or the Labels pool for OpCondLabel).
 	Test uint16
-	// A and B are condition-slot operands.
+	// A and B are condition-slot operands, except where an opcode's doc
+	// says otherwise: A indexes the PosConds pool for
+	// OpStepPos/OpStepPosBase and the Cmps pool for OpCondCmp, B the
+	// PosConds pool for OpCondPos or flags a step's end.
 	A, B uint16
 	// Dst is the condition-slot destination.
 	Dst uint16
@@ -219,6 +246,9 @@ type Program struct {
 	// PosConds is the positional-comparison constant pool (counting
 	// fragment), indexed by OpCondPos.B and OpStepPos/OpStepPosBase.A.
 	PosConds []counting.Cmp
+	// Cmps is the literal-comparison constant pool, indexed by
+	// OpCondCmp.A.
+	Cmps []value.LiteralCmp
 	// NumSlots is the number of condition-set registers the machine
 	// needs (one per distinct condition subexpression plus union
 	// temporaries).

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xpathcomplexity/internal/eval/corelinear"
+	"xpathcomplexity/internal/eval/cvt"
 	"xpathcomplexity/internal/eval/enginetest"
 	"xpathcomplexity/internal/eval/evalctx"
 	"xpathcomplexity/internal/value"
@@ -82,6 +83,182 @@ var corpusQueries = []string{
 	"//a[3 < 4]/b",
 	"//a[0]",
 	"//a[b][c][2]",
+}
+
+// valueQueries exercise the opcodes outside corelinear's fragment —
+// literal comparisons (OpCondCmp: string and number literals, every
+// operator, the literal on either side, attribute and nested paths,
+// absolute paths, positional last steps, NaN string-values) and the
+// count()/sum() return opcodes — so their reference is cvt.
+var valueQueries = []string{
+	"//p[q = 5]",
+	"//p[q > 4]/@n",
+	"//p[q != 5]",
+	"//p[5 = q]",
+	"//p[4 < q]",
+	"//p[q = 'x']",
+	"//p[q != 'x']",
+	"//p[q < '6']",
+	"//p[@n >= 3]",
+	"//p[@n = '7']",
+	"//*[. = '5']",
+	"//p[q[2] = 'x']",
+	"//p[q[. = 5] and @n]",
+	"//p[not(q > 2)]",
+	"//p[.//q = 10]",
+	"//p[q = 'x' or q = 5]",
+	"//s[. > 0]",
+	"//s[. = 'NaN']",
+	"//s[. != 1000]",
+	"//p[q >= -1]",
+	"//p[q = 10 - 5]",
+	"//p[/r/s = -1]",
+	"//p[q = 5][q = 'x']",
+	"//p[q = 5]/q[. = 5]",
+	"//p[q = 'a;b']",
+	"//p[q != 'x y']",
+	"//p[q = '50']",
+	"//p[q = 5 or true()]",
+	"//p[q = 5][2]",
+	"//p[q[. > 0][1] = 5]",
+	"q = 5",
+	"p/q = 'x'",
+	"count(//q)",
+	"count(//p[q > 4])",
+	"count(//p | //s)",
+	"count(//nothing)",
+	"sum(//q)",
+	"sum(//p/@n)",
+	"sum(//s)",
+	"sum(//nothing)",
+	"sum(//p[@n]/q[. > 0])",
+}
+
+// valueDoc carries numeric, fractional, padded, non-number and empty
+// string-values on elements and attributes.
+const valueDoc = `<r><p n="3"><q>5</q><q>x</q></p><p n="7"><q> 10 </q><q>2.5</q></p>` +
+	`<p><q/><q>a;b</q></p><s>-1</s><s>1e3</s><s>1000</s><p n="x"><q>5<b>0</b></q></p></r>`
+
+// TestValueOpcodesAgreeWithCVT proves the comparison and aggregate
+// opcodes compute what cvt computes — fused, unfused, unpooled and
+// unoptimized, indexed and cold, from the root and an inner context —
+// and that both storage backends agree.
+func TestValueOpcodesAgreeWithCVT(t *testing.T) {
+	vd, err := xmltree.ParseString(valueDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := append(corpusDocs(t), vd, xmltree.Compact(vd))
+	for _, d := range docs {
+		for _, q := range valueQueries {
+			expr := parser.MustParse(q)
+			for _, ctx := range []evalctx.Context{evalctx.Root(d), evalctx.At(d.Nodes[len(d.Nodes)/2])} {
+				want, err := cvt.Evaluate(expr, ctx, nil)
+				if err != nil {
+					t.Fatalf("cvt %q: %v", q, err)
+				}
+				for _, opts := range []Options{{}, {DisableFusion: true}, {DisableConstDedup: true}, {DisablePeephole: true}} {
+					prog, err := CompileWith(expr, opts)
+					if err != nil {
+						t.Fatalf("compile %q (%+v): %v", q, opts, err)
+					}
+					for _, disableIdx := range []bool{false, true} {
+						got, err := prog.Run(ctx, RunOptions{DisableIndex: disableIdx})
+						if err != nil {
+							t.Fatalf("vm %q (%+v, noindex=%v): %v", q, opts, disableIdx, err)
+						}
+						if enginetest.CanonValue(want) != enginetest.CanonValue(got) {
+							t.Fatalf("disagreement on %q (%+v, noindex=%v) from #%d:\n cvt: %v\n vm:  %v",
+								q, opts, disableIdx, ctx.Node.Ord, want, got)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestValueOpcodeCharges pins the charge model of the new opcodes: a
+// literal comparison costs one condition node on top of its path, and
+// count()/sum() one function node on top of their argument.
+func TestValueOpcodeCharges(t *testing.T) {
+	d, err := xmltree.ParseString(valueDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := func(q string) int64 {
+		prog, err := Compile(parser.MustParse(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctr := &evalctx.Counter{}
+		if _, err := prog.Run(evalctx.Root(d), RunOptions{Counter: ctr}); err != nil {
+			t.Fatal(err)
+		}
+		return ctr.Ops() / int64(len(d.Nodes))
+	}
+	for _, tc := range []struct{ q, base string }{
+		{"//p[q = 5]", "//p[q]"},
+		{"//p[5 > q]", "//p[q]"},
+		{"count(//p[q])", "//p[q]"},
+		{"sum(//q)", "//q"},
+	} {
+		if got, base := ops(tc.q), ops(tc.base); got != base+1 {
+			t.Errorf("%s charges %d units, want %s's %d + 1", tc.q, got, tc.base, base)
+		}
+	}
+}
+
+// TestCmpPoolDedup: equal literal comparisons share one pool entry, and
+// every mirrored form states the path on the left.
+func TestCmpPoolDedup(t *testing.T) {
+	prog, err := Compile(parser.MustParse("//p[q = 5]/q[. = 5][5 = .][. = '5']"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []value.LiteralCmp{
+		{Op: ast.OpEq, IsNum: true, Num: 5},
+		{Op: ast.OpEq, Str: "5"},
+	}
+	if !reflect.DeepEqual(prog.Cmps, want) {
+		t.Fatalf("cmp pool = %+v, want %+v", prog.Cmps, want)
+	}
+	mirrored, err := Compile(parser.MustParse("//p[3 < q][3 >= q]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = []value.LiteralCmp{
+		{Op: ast.OpGt, IsNum: true, Num: 3},
+		{Op: ast.OpLe, IsNum: true, Num: 3},
+	}
+	if !reflect.DeepEqual(mirrored.Cmps, want) {
+		t.Fatalf("mirrored cmp pool = %+v, want %+v", mirrored.Cmps, want)
+	}
+}
+
+// TestAssembleCmpDirective: the cmp pool directive takes any
+// whitespace between its fields and keeps the literal verbatim, spaces
+// and comment characters included; a malformed one is an error.
+func TestAssembleCmpDirective(t *testing.T) {
+	p, err := Assemble("vm bytecode v1\ncmp 0\t<=\t\"a ;b\" ; comment\ncmp  1  !=  -2.5\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []value.LiteralCmp{{Op: ast.OpLe, Str: "a ;b"}, {Op: ast.OpNeq, IsNum: true, Num: -2.5}}
+	if !reflect.DeepEqual(p.Cmps, want) {
+		t.Fatalf("cmp pool = %+v, want %+v", p.Cmps, want)
+	}
+	for _, bad := range []string{"cmp 0 =", "cmp 0 ~ 1", "cmp 0 = x", "cmp 1 = 1", `cmp 0 = "open`} {
+		if _, err := Assemble("vm bytecode v1\n" + bad + "\n"); err == nil {
+			t.Errorf("Assemble(%q) succeeded, want an error", bad)
+		}
+	}
+}
+
+// allQueries is every compiled corpus: the corelinear-checked queries
+// and the value queries.
+func allQueries() []string {
+	return append(append([]string(nil), corpusQueries...), valueQueries...)
 }
 
 func corpusDocs(t *testing.T) []*xmltree.Document {
@@ -188,8 +365,13 @@ func TestRejectsNonVM(t *testing.T) {
 		q      string
 		reason string
 	}{
-		{"count(a)", "function"},
-		{"a[b = 'x']", "positional-shape"},
+		{"string(a)", "function"},
+		{"count(1)", "function"},
+		{"a[b = c]", "comparison"},
+		{"a[b = true()]", "comparison"},
+		{"a[b + 1 = 2]", "comparison"},
+		{"a[count(b) > 1]", "comparison"},
+		{"a[b = 0 div 0]", "comparison"},
 		{"1 + 2", "operator"},
 		{"'lit'", "expr-type"},
 		{"ancestor::a[2]", "positional-axis"},
@@ -207,8 +389,10 @@ func TestRejectsNonVM(t *testing.T) {
 			t.Errorf("Reason(Compile(%q)) = %q, want %q", tc.q, got, tc.reason)
 		}
 	}
-	// Formerly-rejected positional queries now compile.
-	for _, q := range []string{"a[1]", "a[position() = 1]", "//a[last()]"} {
+	// Formerly-rejected positional, comparison and aggregate queries now
+	// compile.
+	for _, q := range []string{"a[1]", "a[position() = 1]", "//a[last()]", "a[b = 'x']", "a['x' != b]",
+		"a[b > 1]", "count(a)", "sum(a | b)"} {
 		if _, err := Compile(parser.MustParse(q)); err != nil {
 			t.Errorf("Compile(%q) = %v, want nil", q, err)
 		}
@@ -251,7 +435,7 @@ func TestDisableFusionHook(t *testing.T) {
 // Program, pool layout and operand flags included, for every corpus
 // query in every compile configuration.
 func TestDisasmRoundTrip(t *testing.T) {
-	for _, q := range corpusQueries {
+	for _, q := range allQueries() {
 		expr := parser.MustParse(q)
 		for _, opts := range []Options{{}, {DisableFusion: true}, {DisableConstDedup: true}, {DisablePeephole: true}} {
 			prog, err := CompileWith(expr, opts)
@@ -276,7 +460,7 @@ func TestDisasmRoundTrip(t *testing.T) {
 func TestPeepholeMetamorphic(t *testing.T) {
 	docs := corpusDocs(t)
 	shrunk := 0
-	for _, q := range corpusQueries {
+	for _, q := range allQueries() {
 		expr := parser.MustParse(q)
 		for _, base := range []Options{{}, {DisableFusion: true}} {
 			off := base
@@ -372,7 +556,7 @@ func TestPeepholeFoldsConstants(t *testing.T) {
 func TestConstDedupMetamorphic(t *testing.T) {
 	docs := corpusDocs(t)
 	dedupWins := 0
-	for _, q := range corpusQueries {
+	for _, q := range allQueries() {
 		expr := parser.MustParse(q)
 		shared, err := Compile(expr)
 		if err != nil {
@@ -382,9 +566,9 @@ func TestConstDedupMetamorphic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(fresh.Tests) < len(shared.Tests) || len(fresh.Labels) < len(shared.Labels) {
-			t.Fatalf("%q: dedup-disabled pools smaller than deduped (%d/%d tests, %d/%d labels)",
-				q, len(fresh.Tests), len(shared.Tests), len(fresh.Labels), len(shared.Labels))
+		if len(fresh.Tests) < len(shared.Tests) || len(fresh.Labels) < len(shared.Labels) || len(fresh.Cmps) < len(shared.Cmps) {
+			t.Fatalf("%q: dedup-disabled pools smaller than deduped (%d/%d tests, %d/%d labels, %d/%d cmps)",
+				q, len(fresh.Tests), len(shared.Tests), len(fresh.Labels), len(shared.Labels), len(fresh.Cmps), len(shared.Cmps))
 		}
 		if len(fresh.Tests) > len(shared.Tests) {
 			dedupWins++
@@ -413,7 +597,7 @@ func TestConstDedupMetamorphic(t *testing.T) {
 // typed budget error and a nil value — never a partial node-set.
 func TestBudgetNoPartialResult(t *testing.T) {
 	d := xmltree.BalancedDocument(4, 3, []string{"a", "b", "c"})
-	for _, q := range corpusQueries {
+	for _, q := range allQueries() {
 		prog, err := Compile(parser.MustParse(q))
 		if err != nil {
 			t.Fatal(err)

@@ -17,7 +17,6 @@ package xmltree
 
 import (
 	"sort"
-	"strings"
 )
 
 // NodeType identifies the kind of a node in the XPath data model.
@@ -193,21 +192,44 @@ func CompareOrder(a, b *Node) int {
 func (n *Node) StringValue() string {
 	switch n.Type {
 	case RootNode, ElementNode:
-		var b strings.Builder
-		n.appendText(&b)
-		return b.String()
+		// The common leaf shapes need no concatenation: an empty
+		// element's string-value is "", a single text child's is that
+		// child's data, shared rather than copied, and a single element
+		// child's is that child's own.
+		switch len(n.Children) {
+		case 0:
+			return ""
+		case 1:
+			switch c := n.Children[0]; c.Type {
+			case TextNode:
+				return c.Data
+			case ElementNode:
+				return c.StringValue()
+			}
+		}
+		return string(n.AppendStringValue(make([]byte, 0, 64)))
 	default:
 		return n.Data
 	}
 }
 
-func (n *Node) appendText(b *strings.Builder) {
-	for _, c := range n.Children {
-		if c.Type == TextNode {
-			b.WriteString(c.Data)
-		} else {
-			c.appendText(b)
+// AppendStringValue appends the node's string-value to dst: the same
+// text StringValue returns, for callers that only inspect it and reuse
+// one buffer across nodes instead of allocating a string per node.
+func (n *Node) AppendStringValue(dst []byte) []byte {
+	switch n.Type {
+	case RootNode, ElementNode:
+		for _, c := range n.Children {
+			switch c.Type {
+			case TextNode:
+				dst = append(dst, c.Data...)
+			case ElementNode:
+				dst = c.AppendStringValue(dst)
+			}
 		}
+		return dst
+	default:
+		return append(dst, n.Data...)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mustParse(t *testing.T, s string) *Document {
@@ -230,6 +231,33 @@ func TestStringValueNested(t *testing.T) {
 	d := mustParse(t, `<a>x<b>y<c>z</c></b>w</a>`)
 	if got := d.Root.StringValue(); got != "xyzw" {
 		t.Fatalf("root string-value = %q", got)
+	}
+}
+
+// The leaf shapes (no children, one text child, one element child) take
+// the zero-allocation fast path and share the text node's data; every
+// other shape concatenates, with comments excluded.
+func TestStringValueFastPath(t *testing.T) {
+	d := mustParse(t, `<r><e/><t>leaf</t><w><t>wrapped</t></w><m>x<b>y</b>z</m><c><!--no-->txt</c><k><!--only--></k></r>`)
+	want := map[string]string{
+		"e": "", "t": "leaf", "w": "wrapped", "m": "xyz", "c": "txt", "k": "",
+	}
+	for _, el := range d.DocumentElement().Children {
+		if got := el.StringValue(); got != want[el.Name] {
+			t.Errorf("<%s> string-value = %q, want %q", el.Name, got, want[el.Name])
+		}
+	}
+	if got := d.Root.StringValue(); got != "leafwrappedxyztxt" {
+		t.Errorf("root string-value = %q", got)
+	}
+	leaf := d.DocumentElement().Children[1]
+	if got := leaf.StringValue(); unsafe.StringData(got) != unsafe.StringData(leaf.Children[0].Data) {
+		t.Error("single-text-child string-value copies the text instead of sharing it")
+	}
+	for _, el := range d.DocumentElement().Children[:3] {
+		if n := testing.AllocsPerRun(10, func() { _ = el.StringValue() }); n != 0 {
+			t.Errorf("<%s> StringValue allocates %.0f times, want 0", el.Name, n)
+		}
 	}
 }
 

@@ -41,6 +41,13 @@ var vmAllocCeilings = []struct {
 	{"vm/pos-last", "//b[last()]", 10},
 	{"vm/pos-range", "//a[position() < 3]/c", 10},
 	{"vm/pos-rerank", "//a[b][position() = last()]", 10},
+	// Value families: the comparison fill reads leaf string-values
+	// without copying them, and count()/sum() reduce the frontier in
+	// place — only the boxed number result is new.
+	{"vm/compare-string", "//a[b = 't7']/c", 10},
+	{"vm/compare-number", "//a[b > 5]", 10},
+	{"vm/count", "count(//a[b])", 10},
+	{"vm/sum", "sum(//a/b)", 10},
 }
 
 func TestVMAllocGate(t *testing.T) {

@@ -16,17 +16,17 @@
 //   - EngineParallel: the NC-style parallel evaluator (Remark 5.6);
 //   - EngineStreaming: the single-pass NFA evaluator for downward
 //     predicate-free paths;
-//   - EngineVM: the counting-fragment bytecode compiler (Core XPath
-//     plus countable positional predicates), peephole optimizer and
-//     register machine, computing exactly what EngineCoreLinear
-//     computes with the per-evaluation interpretation overhead
-//     compiled away.
+//   - EngineVM: the bytecode compiler for the counting fragment (Core
+//     XPath plus countable positional predicates), path-versus-literal
+//     comparisons and top-level count()/sum(), with a peephole
+//     optimizer and register machine: Proposition 2.7's set algebra
+//     with the per-evaluation interpretation overhead compiled away.
 //
 // Compile classifies every query into the fragment lattice of Figure 1
 // (PF, positive Core XPath, Core XPath, pWF, WF, pXPath, XPath).
 // EngineAuto binds each query once to the cheapest engine its rewritten
-// plan admits (streaming NFA, then bytecode VM, then the fragment's tree
-// engine); Query and Prepare share that one binding.
+// plan admits (the bytecode VM, then the fragment's tree engine); Query
+// and Prepare share that one binding.
 //
 // The paper's hardness reductions (circuit value → Core XPath, SAC¹ →
 // positive Core XPath, graph reachability → PF, circuit value → pWF with
@@ -219,10 +219,9 @@ type Engine int
 // The available engines.
 const (
 	// EngineAuto evaluates on the engine the query's plan binds to, once
-	// per query (see Compiled): the streaming NFA for downward
-	// predicate-free paths, the bytecode VM for the counting fragment,
-	// the linear-time engine for the rest of Core XPath and the
-	// context-value-table engine otherwise. Traced runs use the tree
+	// per query (see Compiled): the bytecode VM for everything it
+	// compiles, the linear-time engine for the rest of Core XPath and
+	// the context-value-table engine otherwise. Traced runs use the tree
 	// engine the fragment recommends.
 	EngineAuto Engine = iota
 	// EngineNaive is the exponential baseline.
@@ -237,18 +236,21 @@ const (
 	EngineParallel
 	// EngineStreaming is the single-pass NFA evaluator for the downward
 	// PF fragment (absolute, predicate-free child/descendant paths). It
-	// rejects anything else with ErrNotStreamable; EngineAuto binds to it
-	// whenever the rewritten plan compiles to the NFA.
+	// rejects anything else with ErrNotStreamable. EngineAuto never
+	// binds to it: on a resident document the VM serves the same paths
+	// faster (EXP-VM3), so the NFA runs only when selected explicitly.
 	EngineStreaming
 	// EngineVM executes counting-fragment queries — Core XPath plus
 	// positional predicates ([k], [last()], position()/last()
-	// comparisons) on countable axes — compiled to flat bytecode
-	// (package internal/vm): the corelinear algorithm with the
-	// per-evaluation interpretation overhead — fragment checks, memo
-	// maps, node-test resolution — moved to compile time, then peephole
-	// optimized. It rejects queries outside the fragment with an error
-	// wrapping vm.ErrNotVM (vm.Reason names the gap); EngineAuto binds
-	// to it when the rewritten plan compiles and is not streamable.
+	// comparisons) on countable axes — together with path-versus-literal
+	// comparisons ([city = 'Vienna'], [price >= 50]) and top-level
+	// count()/sum(), compiled to flat bytecode (package internal/vm):
+	// the corelinear algorithm with the per-evaluation interpretation
+	// overhead — fragment checks, memo maps, node-test resolution —
+	// moved to compile time, then peephole optimized. It rejects queries
+	// outside the fragment with an error wrapping vm.ErrNotVM (vm.Reason
+	// names the gap); EngineAuto binds to it whenever the rewritten plan
+	// compiles.
 	EngineVM
 )
 
