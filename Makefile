@@ -40,12 +40,15 @@ fuzz:
 	go test -fuzz=FuzzParse -fuzztime=30s ./internal/xpath/parser/
 	go test -fuzz=FuzzParse -fuzztime=30s ./internal/xmltree/
 
-# 30s per fuzz target: both parsers plus the cross-engine differential
-# suite (five engines, warm-vs-cold byte equality).
+# 30s per fuzz target: both parsers, the cross-engine differential
+# suite (five engines, warm-vs-cold byte equality) and the /v1/eval
+# codec against encoding/json (same accept/reject and fields, same
+# response bytes).
 fuzz-short:
 	go test -fuzz=FuzzParse -fuzztime=30s ./internal/xpath/parser/
 	go test -fuzz=FuzzParse -fuzztime=30s ./internal/xmltree/
 	go test -fuzz=FuzzDifferentialEngines -fuzztime=30s .
+	go test -fuzz=FuzzEvalCodec -fuzztime=30s ./internal/server/
 
 bench:
 	go test -bench=. -benchmem ./...

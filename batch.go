@@ -51,8 +51,28 @@ type BatchResult struct {
 // share a buffer (TestEvalBatchScratchReuse pins this under -race).
 func EvalBatch(d *Document, queries []string, opts EvalOptions) []BatchResult {
 	results := make([]BatchResult, len(queries))
+	evalBatch(d, queries, opts, results, nil)
+	return results
+}
+
+// VisitBatch evaluates a batch exactly as EvalBatch does, but hands each
+// result to visit, in input order, instead of returning them. The
+// BatchResult is borrowed: its Value may be the result cache's own
+// stored value rather than a private copy, so visit must not modify it
+// and must copy out whatever it keeps past its return. A one-worker
+// batch visits each query as soon as it is evaluated and allocates no
+// result slice; with more workers the results are collected first.
+func VisitBatch(d *Document, queries []string, opts EvalOptions, visit func(i int, r BatchResult)) {
+	opts.borrow = true
+	evalBatch(d, queries, opts, nil, visit)
+}
+
+// evalBatch is the path EvalBatch and VisitBatch share: it stores each
+// result into results (when non-nil) and then passes it to visit (when
+// non-nil).
+func evalBatch(d *Document, queries []string, opts EvalOptions, results []BatchResult, visit func(int, BatchResult)) {
 	if len(queries) == 0 {
-		return results
+		return
 	}
 	if !opts.DisableIndex {
 		// Build the shared index up front so the workers never race to
@@ -70,10 +90,25 @@ func EvalBatch(d *Document, queries []string, opts EvalOptions) []BatchResult {
 	ctx := RootContext(d)
 	if workers == 1 {
 		for i, q := range queries {
-			evalBatchQuery(&results[i], q, ctx, opts)
+			var r BatchResult
+			evalBatchQuery(&r, q, ctx, opts)
+			if results != nil {
+				results[i] = r
+			}
+			if visit != nil {
+				visit(i, r)
+			}
 		}
 	} else {
+		if results == nil {
+			results = make([]BatchResult, len(queries))
+		}
 		evalBatchParallel(results, queries, ctx, opts, workers)
+		if visit != nil {
+			for i, r := range results {
+				visit(i, r)
+			}
+		}
 	}
 	if opts.Metrics != nil {
 		defaultPlanCache.RecordMetrics(opts.Metrics)
@@ -84,7 +119,6 @@ func EvalBatch(d *Document, queries []string, opts EvalOptions) []BatchResult {
 			opts.Cache.RegisterGauges(opts.Metrics)
 		}
 	}
-	return results
 }
 
 // evalBatchParallel runs the worker goroutines; being a function of its

@@ -375,3 +375,51 @@ func TestEvalBatchPerQueryTimeoutIsolated(t *testing.T) {
 		}
 	}
 }
+
+// VisitBatch visits exactly EvalBatch's results, in input order, for
+// every worker count, with and without a result cache. With a cache its
+// hits are borrowed — a later visit of the same query sees the cache's
+// stored node-set itself — while EvalBatch keeps handing out copies.
+func TestVisitBatchMatchesEvalBatch(t *testing.T) {
+	d := batchDoc(t, 3, 300)
+	queries := append(append([]string{}, batchQueries...), "//a[", "//a")
+	for _, workers := range []int{1, 3} {
+		for _, cached := range []bool{false, true} {
+			opts := EvalOptions{Workers: workers}
+			if cached {
+				opts.Cache = NewResultCache(0, 0)
+			}
+			want := EvalBatch(d, queries, opts)
+			next := 0
+			VisitBatch(d, queries, opts, func(i int, r BatchResult) {
+				if i != next {
+					t.Fatalf("workers=%d cached=%v: visited %d, want %d", workers, cached, i, next)
+				}
+				next++
+				w := want[i]
+				if r.Query != w.Query || (r.Err == nil) != (w.Err == nil) || (r.Err == nil && !value.Equal(r.Value, w.Value)) {
+					t.Errorf("workers=%d cached=%v query %q: visited (%v, %v), EvalBatch (%v, %v)",
+						workers, cached, queries[i], r.Value, r.Err, w.Value, w.Err)
+				}
+			})
+			if next != len(queries) {
+				t.Fatalf("workers=%d cached=%v: visited %d of %d", workers, cached, next, len(queries))
+			}
+		}
+	}
+
+	rc := NewResultCache(0, 0)
+	opts := EvalOptions{Workers: 1, Cache: rc}
+	first := func(v Value) *Node { return v.(NodeSet)[0] }
+	var borrowed [2]Value
+	for round := range borrowed {
+		VisitBatch(d, []string{"//a"}, opts, func(_ int, r BatchResult) { borrowed[round] = r.Value })
+	}
+	if &borrowed[0].(NodeSet)[0] != &borrowed[1].(NodeSet)[0] {
+		t.Error("a borrowed hit should hand over the stored node-set, not a copy")
+	}
+	owned := EvalBatch(d, []string{"//a"}, opts)[0].Value
+	if &owned.(NodeSet)[0] == &borrowed[0].(NodeSet)[0] || first(owned) != first(borrowed[0]) {
+		t.Error("EvalBatch must return a private copy of the same hit")
+	}
+}

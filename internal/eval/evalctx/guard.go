@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 )
 
 // ErrCanceled reports that an evaluation was stopped by its
@@ -88,16 +89,23 @@ type Limits struct {
 	// frontiers, streamed matches). Dense bitset frontiers are O(|D|)
 	// by construction and are not counted.
 	MaxNodeSet int
+	// Deadline, when non-zero, stops the evaluation once the clock
+	// passes it. It is read from the monotonic clock at the same
+	// cadence as the context, and an expiry is reported exactly like a
+	// context deadline: a *CancelError matching ErrCanceled that
+	// unwraps to context.DeadlineExceeded. A per-evaluation timeout
+	// therefore needs no derived context and no timer.
+	Deadline time.Time
 }
 
 // guardPollOps is the operation cadence at which the guard polls its
-// context: frequent enough that cancellation is prompt (well under a
-// millisecond of engine work), rare enough that ctx.Err is off the hot
-// path.
+// context and deadline: frequent enough that cancellation is prompt
+// (well under a millisecond of engine work), rare enough that ctx.Err
+// and the clock read are off the hot path.
 const guardPollOps = 256
 
 // Guard enforces cooperative resource governance inside the evaluators:
-// a context for cancellation and deadlines, an operation budget, a
+// a context for cancellation, a deadline, an operation budget, a
 // recursion-depth bound and a node-set cardinality bound. The engines
 // consult it at the same per-visit points the Counter and the
 // observability layer already instrument, so a nil *Guard — the default
@@ -118,7 +126,7 @@ type Guard struct {
 // limits yields a nil guard (no governance); a nil ctx with limits set
 // uses context.Background.
 func NewGuard(ctx context.Context, l Limits) *Guard {
-	if ctx == nil && l == (Limits{}) {
+	if ctx == nil && l.MaxOps == 0 && l.MaxDepth == 0 && l.MaxNodeSet == 0 && l.Deadline.IsZero() {
 		return nil
 	}
 	if ctx == nil {
@@ -144,38 +152,57 @@ func (g *Guard) Ops() int64 {
 	return g.ops.Load()
 }
 
-// Check polls the context immediately, bypassing the cadence. Evaluation
-// entry points call it once so an already-canceled context fails before
-// any work happens.
+// Check polls the context and deadline immediately, bypassing the
+// cadence. Evaluation entry points call it once so an already-canceled
+// context or an expired deadline fails before any work happens.
 func (g *Guard) Check() error {
 	if g == nil {
 		return nil
 	}
-	if err := g.ctx.Err(); err != nil {
-		return &CancelError{Cause: err}
+	return g.poll()
+}
+
+// poll reports a dead context or a passed deadline as a *CancelError,
+// the context first.
+func (g *Guard) poll() error {
+	return Canceled(g.ctx, g.limits.Deadline)
+}
+
+// Canceled reports a dead ctx (nil means none) or a passed deadline
+// (zero means none) as the *CancelError a guard would return, or nil
+// when neither holds. Evaluation entry points that build no guard — a
+// result-cache hit runs no engine — use it to keep the guard's verdict.
+func Canceled(ctx context.Context, deadline time.Time) error {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return &CancelError{Cause: err}
+		}
+	}
+	if !deadline.IsZero() && !time.Now().Before(deadline) {
+		return &CancelError{Cause: context.DeadlineExceeded}
 	}
 	return nil
 }
 
-// canceledOr resolves the precedence between a dead context and a
-// tripped resource limit: cancellation wins. The context polls on a
-// 256-op cadence, so a limit can trip while a cancel (or an expired
-// batch deadline) is already pending; reporting the BudgetError then
-// misattributes the stop to the query's own budget — under EvalBatch a
-// canceled shared context would surface as per-query budget exhaustion.
-// Every limit-error path routes through here so the verdict matches the
-// actual cause.
+// canceledOr resolves the precedence between a dead context (or passed
+// deadline) and a tripped resource limit: cancellation wins. The
+// context and clock poll on a 256-op cadence, so a limit can trip while
+// a cancel (or an expired deadline) is already pending; reporting the
+// BudgetError then misattributes the stop to the query's own budget —
+// under EvalBatch a canceled shared context would surface as per-query
+// budget exhaustion. Every limit-error path routes through here so the
+// verdict matches the actual cause.
 func (g *Guard) canceledOr(budget error) error {
-	if err := g.ctx.Err(); err != nil {
-		return &CancelError{Cause: err}
+	if err := g.poll(); err != nil {
+		return err
 	}
 	return budget
 }
 
 // Step charges n operations against the budget and polls the context
-// every guardPollOps operations. Engines call it wherever they charge
-// the Counter, with the same n, so MaxOps and Counter.Budget are
-// denominated identically.
+// and deadline every guardPollOps operations. Engines call it wherever
+// they charge the Counter, with the same n, so MaxOps and
+// Counter.Budget are denominated identically.
 func (g *Guard) Step(n int64) error {
 	if g == nil {
 		return nil
@@ -186,17 +213,15 @@ func (g *Guard) Step(n int64) error {
 	}
 	if g.sincePoll.Add(n) >= guardPollOps {
 		g.sincePoll.Store(0)
-		if err := g.ctx.Err(); err != nil {
-			return &CancelError{Cause: err}
-		}
+		return g.poll()
 	}
 	return nil
 }
 
 // Enter records one level of evaluator recursion and checks the depth
-// limit and (at the poll cadence) the context. On success the caller
-// must pair it with Exit; on error the depth increment is rolled back,
-// so an early return without Exit stays balanced.
+// limit and (at the poll cadence) the context and deadline. On success
+// the caller must pair it with Exit; on error the depth increment is
+// rolled back, so an early return without Exit stays balanced.
 func (g *Guard) Enter() error {
 	if g == nil {
 		return nil
@@ -208,9 +233,9 @@ func (g *Guard) Enter() error {
 	}
 	if g.sincePoll.Add(1) >= guardPollOps {
 		g.sincePoll.Store(0)
-		if err := g.ctx.Err(); err != nil {
+		if err := g.poll(); err != nil {
 			g.depth.Add(-1)
-			return &CancelError{Cause: err}
+			return err
 		}
 	}
 	return nil

@@ -251,3 +251,57 @@ func TestGuardCancellationBeatsBudget(t *testing.T) {
 		}
 	})
 }
+
+// TestGuardDeadline pins the deadline limit: it is polled on the op
+// cadence (and by Check), and its expiry is the same *CancelError a
+// context deadline produces — matching ErrCanceled and unwrapping to
+// context.DeadlineExceeded — with no context or timer behind it.
+func TestGuardDeadline(t *testing.T) {
+	if g := NewGuard(nil, Limits{Deadline: time.Now().Add(time.Hour)}); g == nil {
+		t.Fatal("a deadline alone should build a guard")
+	} else if err := g.Check(); err != nil {
+		t.Fatalf("live deadline: Check() = %v", err)
+	}
+
+	g := NewGuard(nil, Limits{Deadline: time.Now().Add(-time.Millisecond)})
+	err := g.Check()
+	var ce *CancelError
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) || !errors.As(err, &ce) {
+		t.Fatalf("expired deadline: Check() = %v, want a *CancelError matching ErrCanceled and DeadlineExceeded", err)
+	}
+
+	// Step polls only every guardPollOps operations.
+	g = NewGuard(nil, Limits{Deadline: time.Now().Add(-time.Millisecond)})
+	if err := g.Step(guardPollOps - 1); err != nil {
+		t.Fatalf("Step below the poll cadence should not read the clock: %v", err)
+	}
+	if err := g.Step(1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Step at the poll cadence past the deadline = %v", err)
+	}
+	g = NewGuard(nil, Limits{Deadline: time.Now().Add(-time.Millisecond)})
+	for i := 0; i < guardPollOps-1; i++ {
+		if err := g.Enter(); err != nil {
+			t.Fatalf("Enter %d below the poll cadence: %v", i, err)
+		}
+	}
+	if err := g.Enter(); !errors.Is(err, context.DeadlineExceeded) || g.Depth() != guardPollOps-1 {
+		t.Fatalf("Enter at the poll cadence past the deadline = %v (depth %d, want rolled back to %d)",
+			err, g.Depth(), guardPollOps-1)
+	}
+
+	// A passed deadline wins over a tripped budget, like a dead context.
+	g = NewGuard(nil, Limits{MaxOps: 1, Deadline: time.Now().Add(-time.Millisecond)})
+	if err := g.Step(2); !errors.Is(err, ErrCanceled) || errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("expired deadline with a tripped budget = %v, want the cancellation", err)
+	}
+
+	// A canceled context is reported before a passed deadline.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := Canceled(ctx, time.Now().Add(-time.Millisecond)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Canceled(dead ctx, passed deadline) = %v, want context.Canceled", err)
+	}
+	if err := Canceled(nil, time.Time{}); err != nil {
+		t.Fatalf("Canceled(nil, zero) = %v", err)
+	}
+}

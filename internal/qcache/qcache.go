@@ -23,6 +23,10 @@
 //     recycle scratch memory through pools (see internal/nodeset), so
 //     the cache never retains or hands out a buffer an engine might
 //     reuse; callers own what they get, the cache owns what it stores.
+//     A stored value is never modified after admission, so the copy of
+//     a hit runs outside the cache lock. DoBorrowed is the one
+//     exception to the copies, for callers that only read a result
+//     while they hold it: they get the stored value itself.
 //   - Errors are never cached. Classify types the non-cacheable
 //     outcomes (cancellation, resource budgets, other failures) so
 //     admission bypasses are observable per class; a transient verdict
@@ -98,8 +102,9 @@ type Key struct {
 	DisableIndex  bool
 }
 
-// entry is one admitted result. value is owned by the cache (admitted
-// as a private deep copy) and copied again on every hit.
+// entry is one admitted result. val is owned by the cache (admitted as
+// a private deep copy, or a borrowing leader's own result), never
+// modified after admission, and copied again on every owned hit.
 type entry struct {
 	key   Key
 	val   value.Value
@@ -226,16 +231,29 @@ func Classify(err error) Outcome {
 // entry came from a different (content-identical) document, so callers
 // always receive nodes of their own tree. m may be nil.
 func (c *Cache) Do(key Key, doc *xmltree.Document, m *obs.Metrics, eval func() (value.Value, error)) (value.Value, error) {
+	return c.do(key, doc, m, false, eval)
+}
+
+// DoBorrowed is Do for a caller that only reads the value it gets back
+// and must not modify it. A hit, or a wait on an in-flight identical
+// evaluation, returns the stored value itself instead of a copy (a copy
+// only when its nodes must be remapped into doc), and a leader's own
+// result is admitted without copying it, since the caller will not
+// modify it either. The returned value stays valid after the call.
+func (c *Cache) DoBorrowed(key Key, doc *xmltree.Document, m *obs.Metrics, eval func() (value.Value, error)) (value.Value, error) {
+	return c.do(key, doc, m, true, eval)
+}
+
+func (c *Cache) do(key Key, doc *xmltree.Document, m *obs.Metrics, borrow bool, eval func() (value.Value, error)) (value.Value, error) {
 	for {
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {
 			c.order.MoveToFront(el)
 			c.hits++
-			e := el.Value.(*entry)
-			v := copyValue(e.val, doc)
+			stored := el.Value.(*entry).val
 			c.mu.Unlock()
 			m.Counter(MetricHit).Inc()
-			return v, nil
+			return serve(stored, doc, borrow), nil
 		}
 		if cl, ok := c.inflight[key]; ok {
 			c.inflightWaits++
@@ -243,7 +261,7 @@ func (c *Cache) Do(key Key, doc *xmltree.Document, m *obs.Metrics, eval func() (
 			m.Counter(MetricInflightWait).Inc()
 			<-cl.done
 			if cl.err == nil && cl.val != nil {
-				return copyValue(cl.val, doc), nil
+				return serve(cl.val, doc, borrow), nil
 			}
 			// The leader failed (or its result was not admissible as a
 			// shared value); retry the lookup. Deterministic failures
@@ -255,15 +273,33 @@ func (c *Cache) Do(key Key, doc *xmltree.Document, m *obs.Metrics, eval func() (
 		c.misses++
 		c.mu.Unlock()
 		m.Counter(MetricMiss).Inc()
-		return c.lead(key, doc, m, cl, eval)
+		return c.lead(key, doc, m, cl, borrow, eval)
 	}
+}
+
+// serve hands a stored value to a caller: a private copy, or for a
+// borrowing caller the stored value itself when its nodes are already
+// doc's.
+func serve(stored value.Value, doc *xmltree.Document, borrow bool) value.Value {
+	if borrow && ownedBy(stored, doc) {
+		return stored
+	}
+	return copyValue(stored, doc)
+}
+
+// ownedBy reports whether v needs no remapping to be served against
+// doc: scalars, empty node-sets, and node-sets of doc's own nodes (the
+// nodes of one set all belong to one document).
+func ownedBy(v value.Value, doc *xmltree.Document) bool {
+	ns, ok := v.(value.NodeSet)
+	return !ok || len(ns) == 0 || doc == nil || ns[0].Document() == doc
 }
 
 // lead runs the evaluation as the singleflight leader and settles the
 // call: admit on success, publish the outcome, wake the waiters. The
 // inflight slot is cleared even when eval panics (the facade recovers
 // panics above the cache), so a crashing plan cannot wedge the key.
-func (c *Cache) lead(key Key, doc *xmltree.Document, m *obs.Metrics, cl *call, eval func() (value.Value, error)) (v value.Value, err error) {
+func (c *Cache) lead(key Key, doc *xmltree.Document, m *obs.Metrics, cl *call, borrow bool, eval func() (value.Value, error)) (v value.Value, err error) {
 	settled := false
 	settle := func(admitted value.Value, e error) {
 		settled = true
@@ -285,7 +321,7 @@ func (c *Cache) lead(key Key, doc *xmltree.Document, m *obs.Metrics, cl *call, e
 		settle(nil, err)
 		return v, err
 	}
-	admitted := c.admit(key, v, doc, m)
+	admitted := c.admit(key, v, doc, m, borrow)
 	settle(admitted, nil)
 	return v, nil
 }
@@ -299,17 +335,18 @@ type panicSentinel struct{}
 
 func (*panicSentinel) Error() string { return "qcache: leader evaluation panicked" }
 
-// admit stores a private deep copy of v under key and returns that
-// copy (nil when the value exceeds the byte budget outright). Eviction
-// runs inside the same critical section, so bounds hold at every
-// instant.
-func (c *Cache) admit(key Key, v value.Value, doc *xmltree.Document, m *obs.Metrics) value.Value {
+// admit stores a private deep copy of v under key — v itself for a
+// borrowing leader, which will not modify it — and returns what it
+// stored (nil when the value exceeds the byte budget outright).
+// Eviction runs inside the same critical section, so bounds hold at
+// every instant.
+func (c *Cache) admit(key Key, v value.Value, doc *xmltree.Document, m *obs.Metrics, borrow bool) value.Value {
 	size := sizeOf(key, v)
 	if size > c.maxBytes {
 		m.Counter(MetricBypassOversize).Inc()
 		return nil
 	}
-	stored := copyValue(v, doc)
+	stored := serve(v, doc, borrow)
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		// Lost an admit race (a waiter-turned-leader after our lookup);

@@ -596,3 +596,97 @@ func TestLeaderErrorConcurrentInvalidation(t *testing.T) {
 		t.Errorf("stats.hits = %d, want 0", st.Hits)
 	}
 }
+
+// TestBorrowedHitServesStored pins DoBorrowed's contract: a hit, and a
+// borrowing leader's own result, are the stored value itself — no copy
+// — while Do still hands out a private copy; a hit against a
+// content-identical document is remapped, so it is a copy either way.
+func TestBorrowedHitServesStored(t *testing.T) {
+	d := testDoc(t, `<r><a/><a/></r>`)
+	c := New(8, 1<<16)
+	key := keyFor(d, "//a")
+	eval := func() (value.Value, error) { return value.NewNodeSet(d.Nodes[1], d.Nodes[2]), nil }
+	same := func(a, b value.Value) bool { return &a.(value.NodeSet)[0] == &b.(value.NodeSet)[0] }
+
+	led, _ := c.DoBorrowed(key, d, nil, eval)
+	hit, _ := c.DoBorrowed(key, d, nil, eval)
+	if !same(led, hit) {
+		t.Error("a borrowing leader's result should be admitted as is and served to the next borrowed hit")
+	}
+	if owned, _ := c.Do(key, d, nil, eval); same(owned, hit) {
+		t.Error("Do must copy a hit")
+	}
+	twin := testDoc(t, `<r><a/><a/></r>`)
+	remapped, _ := c.DoBorrowed(key, twin, nil, eval)
+	if ns := remapped.(value.NodeSet); ns[0].Document() != twin || same(remapped, hit) {
+		t.Error("a borrowed hit for a content-identical document must be remapped into it")
+	}
+	if n, err := c.DoBorrowed(keyFor(d, "count(//a)"), d, nil, func() (value.Value, error) { return value.Number(2), nil }); err != nil || n != value.Number(2) {
+		t.Errorf("scalar through DoBorrowed: %v, %v", n, err)
+	}
+}
+
+// TestConcurrentHitsAndInvalidation races owned hits, borrowed hits and
+// InvalidateDocument on one key (run it under -race). Owned results are
+// mutated by their callers; the stored value must never change, so
+// every later hit still reads the evaluated answer. Hits copy outside
+// the cache lock, which is sound only because stored values are never
+// modified after admission.
+func TestConcurrentHitsAndInvalidation(t *testing.T) {
+	d := testDoc(t, `<r><a/><a/><a/><a/></r>`)
+	c := New(8, 1<<16)
+	key := keyFor(d, "//a")
+	want := value.NewNodeSet(d.Nodes[1], d.Nodes[2], d.Nodes[3], d.Nodes[4])
+	eval := func() (value.Value, error) { return value.NewNodeSet(want...), nil }
+	check := func(v value.Value) {
+		if !v.(value.NodeSet).Equal(want) {
+			t.Errorf("served %v, want %v", v, want)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(3)
+		go func() { // owned hits, mutated after reading
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				v, err := c.Do(key, d, nil, eval)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				check(v)
+				ns := v.(value.NodeSet)
+				for j := range ns {
+					ns[j] = d.Nodes[0]
+				}
+			}
+		}()
+		go func() { // borrowed hits, only read
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				v, err := c.DoBorrowed(key, d, nil, eval)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				check(v)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				c.InvalidateDocument(d.Fingerprint())
+				runtime.Gosched()
+			}
+		}()
+	}
+	wg.Wait()
+	v, err := c.DoBorrowed(key, d, nil, eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(v)
+	if st := c.Stats(); st.Hits == 0 || st.Invalidations == 0 {
+		t.Errorf("the race exercised no hits or no invalidations: %+v", st)
+	}
+}

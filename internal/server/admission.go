@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -29,6 +30,26 @@ const (
 	HeaderTimeoutMs = "X-XPath-Timeout-Ms"
 )
 
+// The header names in canonical form, as net/http stores received
+// headers: indexing r.Header with them skips the per-lookup
+// canonicalization (and its allocation) of Header.Get. A client may send
+// the names in any case; the server canonicalizes them on receipt.
+var (
+	keyTenant     = http.CanonicalHeaderKey(HeaderTenant)
+	keyMaxOps     = http.CanonicalHeaderKey(HeaderMaxOps)
+	keyMaxNodeSet = http.CanonicalHeaderKey(HeaderMaxNodeSet)
+	keyTimeoutMs  = http.CanonicalHeaderKey(HeaderTimeoutMs)
+)
+
+// header returns the first value of a received header by its canonical
+// key ("" when absent).
+func header(r *http.Request, canonicalKey string) string {
+	if v := r.Header[canonicalKey]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
+}
+
 // DefaultTenant is the tenant requests without a tenant header are
 // accounted to.
 const DefaultTenant = "default"
@@ -52,21 +73,21 @@ func (s *Server) requestLimits(r *http.Request) (limits, error) {
 		maxNodeSet: s.cfg.DefaultMaxNodeSet,
 		timeout:    s.cfg.DefaultTimeout,
 	}
-	if v := r.Header.Get(HeaderMaxOps); v != "" {
+	if v := header(r, keyMaxOps); v != "" {
 		n, err := parsePositiveInt64(v)
 		if err != nil {
 			return l, fmt.Errorf("%s: %w", HeaderMaxOps, err)
 		}
 		l.maxOps = n
 	}
-	if v := r.Header.Get(HeaderMaxNodeSet); v != "" {
+	if v := header(r, keyMaxNodeSet); v != "" {
 		n, err := parsePositiveInt64(v)
 		if err != nil {
 			return l, fmt.Errorf("%s: %w", HeaderMaxNodeSet, err)
 		}
 		l.maxNodeSet = int(min64(n, int64(1)<<31-1))
 	}
-	if v := r.Header.Get(HeaderTimeoutMs); v != "" {
+	if v := header(r, keyTimeoutMs); v != "" {
 		n, err := parsePositiveInt64(v)
 		if err != nil {
 			return l, fmt.Errorf("%s: %w", HeaderTimeoutMs, err)
@@ -116,7 +137,7 @@ func min64(a, b int64) int64 {
 
 // tenantName resolves the request's tenant.
 func tenantName(r *http.Request) string {
-	if t := strings.TrimSpace(r.Header.Get(HeaderTenant)); t != "" {
+	if t := strings.TrimSpace(header(r, keyTenant)); t != "" {
 		return t
 	}
 	return DefaultTenant
@@ -162,11 +183,13 @@ const (
 // acquire takes one worker slot and one tenant slot. A busy pool is
 // waited on only while holding one of the bounded queue tickets, and
 // only up to queueWait (or the request context's own cancellation). On
-// success the returned release func frees the slots; on failure it
-// reports which gate shed the request. The tenant gate never waits: a
-// tenant at its concurrency cap is shed immediately so its backlog
-// cannot occupy queue tickets the other tenants need.
-func (a *admission) acquire(done <-chan struct{}, tenant string) (release func(), cause sheddingCause) {
+// success it returns the tenant's slot set, which release takes back
+// together with the worker slot; on failure it reports which gate shed
+// the request. The tenant gate never waits: a tenant at its concurrency
+// cap is shed immediately so its backlog cannot occupy queue tickets
+// the other tenants need. ctx.Done is read only when the request waits,
+// so the uncontended path never makes the context build its channel.
+func (a *admission) acquire(ctx context.Context, tenant string) (slots chan struct{}, cause sheddingCause) {
 	select {
 	case a.global <- struct{}{}:
 	default:
@@ -183,7 +206,7 @@ func (a *admission) acquire(done <-chan struct{}, tenant string) (release func()
 		case <-t.C:
 			<-a.queue
 			return nil, shedGlobal
-		case <-done:
+		case <-ctx.Done():
 			t.Stop()
 			<-a.queue
 			return nil, shedGlobal
@@ -196,10 +219,13 @@ func (a *admission) acquire(done <-chan struct{}, tenant string) (release func()
 		<-a.global
 		return nil, shedTenant
 	}
-	return func() {
-		<-ts
-		<-a.global
-	}, shedNone
+	return ts, shedNone
+}
+
+// release frees the slots a successful acquire returned.
+func (a *admission) release(slots chan struct{}) {
+	<-slots
+	<-a.global
 }
 
 func (a *admission) tenantSlots(tenant string) chan struct{} {

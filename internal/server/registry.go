@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 	"time"
 
@@ -152,9 +151,28 @@ func FormatFingerprint(fp uint64) string { return fmt.Sprintf("%016x", fp) }
 // ParseFingerprint parses the wire handle back to a fingerprint: 1 to 16
 // hex digits and nothing else (no sign, prefix, separator or space), so
 // no junk handle can address another document.
-func ParseFingerprint(s string) (uint64, error) {
-	fp, err := strconv.ParseUint(s, 16, 64)
-	if err != nil || len(s) > 16 {
+func ParseFingerprint(s string) (uint64, error) { return parseFingerprint(s) }
+
+// parseFingerprint is ParseFingerprint over either form of the text, so
+// the eval handler parses the decoded request bytes without a string.
+// It accepts what strconv.ParseUint(s, 16, 64) accepts in at most 16
+// characters: one to sixteen hex digits.
+func parseFingerprint[S string | []byte](s S) (uint64, error) {
+	var fp uint64
+	ok := len(s) > 0 && len(s) <= 16
+	for i := 0; ok && i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9':
+			fp = fp<<4 | uint64(c-'0')
+		case 'a' <= c && c <= 'f':
+			fp = fp<<4 | uint64(c-'a'+10)
+		case 'A' <= c && c <= 'F':
+			fp = fp<<4 | uint64(c-'A'+10)
+		default:
+			ok = false
+		}
+	}
+	if !ok {
 		return 0, fmt.Errorf("malformed fingerprint %q", s)
 	}
 	return fp, nil

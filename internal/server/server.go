@@ -27,6 +27,7 @@ import (
 	"time"
 
 	xpath "xpathcomplexity"
+	"xpathcomplexity/internal/obs"
 	"xpathcomplexity/internal/value"
 )
 
@@ -181,6 +182,11 @@ type Server struct {
 	adm      *admission
 	mux      *http.ServeMux
 	started  time.Time
+
+	// Handles of the metrics every eval request touches, looked up once.
+	requests, evals *obs.Counter
+	inflight        *obs.Gauge
+	evalWall        *obs.Histogram
 }
 
 // New builds a Server from cfg (zero fields defaulted).
@@ -203,6 +209,10 @@ func New(cfg Config) *Server {
 	s.registry.registerGauges(s.metrics)
 	s.cache.RegisterGauges(s.metrics)
 	s.adm = newAdmission(cfg.Workers, cfg.QueueDepth, cfg.QueueWait, cfg.TenantConcurrency)
+	s.requests = s.metrics.Counter("server.requests")
+	s.evals = s.metrics.Counter("server.evals")
+	s.inflight = s.metrics.Gauge("server.inflight")
+	s.evalWall = s.metrics.Histogram("server.eval.wall_us")
 
 	// The PR 7 debug surface is the base mux — /metrics, /debug/xpath/*,
 	// /debug/pprof — and the serving routes are added alongside it, so
@@ -226,97 +236,78 @@ func (s *Server) Registry() *Registry { return s.registry }
 // Metrics exposes the server's metrics registry.
 func (s *Server) Metrics() *xpath.Metrics { return s.metrics }
 
-// evalRequest is the /v1/eval body.
-type evalRequest struct {
-	// Doc is the document fingerprint handle returned by the load
-	// endpoint.
-	Doc string `json:"doc"`
-	// Queries is the batch (1..MaxBatchQueries).
-	Queries []string `json:"queries"`
-	// Engine optionally pins an engine by name ("" = auto).
-	Engine string `json:"engine,omitempty"`
-}
-
-// evalResult is one query's outcome in the /v1/eval response.
-type evalResult struct {
-	Query string `json:"query"`
-	// Kind and Value describe a successful result: the XPath value kind
-	// and its string form (node-sets render as their cardinality, with
-	// the first node ordinals in Ords).
-	Kind  string `json:"kind,omitempty"`
-	Value string `json:"value,omitempty"`
-	// Card is the node-set cardinality (-1 for scalars and errors).
-	Card int `json:"card"`
-	// Ords holds the first node ordinals of a node-set result (bounded).
-	Ords []int `json:"ords,omitempty"`
-	// Err/ErrKind describe a failed query: ErrKind is "compile",
-	// "canceled", "budget" or "failed".
-	Err     string `json:"err,omitempty"`
-	ErrKind string `json:"err_kind,omitempty"`
-}
-
-// evalResponse is the /v1/eval body on success (and on multi-query
-// partial failure — per-query errors ride in Results).
-type evalResponse struct {
-	Doc     string       `json:"doc"`
-	Engine  string       `json:"engine"`
-	Results []evalResult `json:"results"`
-	WallUs  int64        `json:"wall_us"`
-}
-
 // maxOrds bounds the node ordinals echoed per node-set result.
 const maxOrds = 64
 
+// handleEval serves /v1/eval (the wire format is described in codec.go).
+// The body is read into a pooled buffer and decoded without reflection,
+// and each result is rendered into a pooled response buffer as
+// VisitBatch hands it over — borrowed, so a result-cache hit is served
+// without copying its node-set.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Counter("server.requests").Inc()
+	s.requests.Inc()
 	tenant := tenantName(r)
 	lim, err := s.requestLimits(r)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var req evalRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
+	c := getCodec()
+	defer putCodec(c)
+	if r.ContentLength > MaxEvalBodyBytes {
+		s.bodyTooLarge(w)
+		return
+	}
+	if err := c.readBody(r.Body, MaxEvalBodyBytes); err != nil {
+		if err == errBodyTooLarge {
+			s.bodyTooLarge(w)
+		} else {
+			s.httpError(w, http.StatusBadRequest, "reading eval request: "+err.Error())
+		}
+		return
+	}
+	if err := c.decode(); err != nil {
 		s.httpError(w, http.StatusBadRequest, "malformed eval request: "+err.Error())
 		return
 	}
-	if len(req.Queries) == 0 {
+	queries := c.queries
+	if len(queries) == 0 {
 		s.httpError(w, http.StatusBadRequest, "eval request carries no queries")
 		return
 	}
-	if len(req.Queries) > s.cfg.MaxBatchQueries {
+	if len(queries) > s.cfg.MaxBatchQueries {
 		s.httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d queries exceeds the %d-query bound", len(req.Queries), s.cfg.MaxBatchQueries))
+			fmt.Sprintf("batch of %d queries exceeds the %d-query bound", len(queries), s.cfg.MaxBatchQueries))
 		return
 	}
 	engine := xpath.EngineAuto
-	if req.Engine != "" {
-		e, ok := xpath.EngineByName[req.Engine]
+	if name := c.engineBytes(); len(name) > 0 {
+		e, ok := xpath.EngineByName[string(name)]
 		if !ok {
-			s.httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown engine %q", req.Engine))
+			s.httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown engine %q", name))
 			return
 		}
 		engine = e
 	}
-	fp, err := ParseFingerprint(req.Doc)
+	docName := c.docBytes()
+	fp, err := parseFingerprint(docName)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	doc, ok := s.registry.Get(fp)
 	if !ok {
-		s.httpError(w, http.StatusNotFound, fmt.Sprintf("document %s is not resident", req.Doc))
+		s.httpError(w, http.StatusNotFound, fmt.Sprintf("document %s is not resident", docName))
 		return
 	}
 
-	release, cause := s.adm.acquire(r.Context().Done(), tenant)
+	slots, cause := s.adm.acquire(r.Context(), tenant)
 	if cause != shedNone {
 		s.shed(w, tenant, cause)
 		return
 	}
-	defer release()
-	s.metrics.Gauge("server.inflight").Set(int64(s.adm.inflight()))
+	defer s.adm.release(slots)
+	s.inflight.Set(int64(s.adm.inflight()))
 
 	opts := xpath.EvalOptions{
 		Engine:     engine,
@@ -329,41 +320,45 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		Metrics:    s.metrics,
 		Flight:     s.flight,
 	}
+	c.beginResponse(docName, engine.String())
+	status := http.StatusOK
 	start := time.Now()
-	results := xpath.EvalBatch(doc, req.Queries, opts)
+	xpath.VisitBatch(doc, queries, opts, func(i int, br xpath.BatchResult) {
+		s.renderResult(c, tenant, br, i == 0)
+		if len(queries) == 1 && br.Err != nil {
+			// A single-query request maps its error onto the HTTP status; a
+			// multi-query batch is always 200 with per-query errors inline.
+			status = statusForError(br.Err)
+		}
+	})
 	wall := time.Since(start)
 	// One request ≈ one evaluation for the load generator (batch size
 	// 1), so the request histogram is the serving latency distribution
-	// the bench reads P99 from.
-	s.metrics.Histogram("server.eval.wall_us").Observe(wall.Microseconds())
-	s.metrics.Counter("server.evals").Add(int64(len(req.Queries)))
-
-	resp := evalResponse{
-		Doc:     req.Doc,
-		Engine:  engine.String(),
-		Results: make([]evalResult, len(results)),
-		WallUs:  wall.Microseconds(),
-	}
-	status := http.StatusOK
-	for i, br := range results {
-		resp.Results[i] = s.renderResult(tenant, br)
-	}
-	if len(results) == 1 && results[0].Err != nil {
-		// A single-query request maps its error onto the HTTP status; a
-		// multi-query batch is always 200 with per-query errors inline.
-		status = statusForError(results[0].Err)
-	}
-	writeJSON(w, status, resp)
+	// the bench reads P99 from. It covers evaluation and rendering.
+	s.evalWall.Observe(wall.Microseconds())
+	s.evals.Add(int64(len(queries)))
+	c.endResponse(wall.Microseconds())
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	_, _ = w.Write(c.out)
 }
 
-// renderResult converts one BatchResult to the wire form, charging the
-// per-tenant error counters.
-func (s *Server) renderResult(tenant string, br xpath.BatchResult) evalResult {
-	out := evalResult{Query: br.Query, Card: -1}
+// bodyTooLarge answers an eval body over MaxEvalBodyBytes with 413 and
+// closes the connection rather than reading the rest of the body.
+func (s *Server) bodyTooLarge(w http.ResponseWriter) {
+	w.Header().Set("Connection", "close")
+	s.httpError(w, http.StatusRequestEntityTooLarge,
+		fmt.Sprintf("eval request exceeds the %d-byte body bound", MaxEvalBodyBytes))
+}
+
+// renderResult appends one BatchResult to the response, charging the
+// per-tenant error counters. br is borrowed: only read during the call.
+func (s *Server) renderResult(c *evalCodec, tenant string, br xpath.BatchResult, first bool) {
+	out := wireResult{query: br.Query, card: -1}
 	if br.Err != nil {
-		out.Err = br.Err.Error()
-		out.ErrKind = errKind(br.Err)
-		switch out.ErrKind {
+		out.err = br.Err.Error()
+		out.errKind = errKind(br.Err)
+		switch out.errKind {
 		case "budget":
 			s.metrics.Counter("server.budget_exceeded").Inc()
 			s.metrics.Counter("server.budget_exceeded.tenant." + tenant).Inc()
@@ -372,24 +367,25 @@ func (s *Server) renderResult(tenant string, br xpath.BatchResult) evalResult {
 		default:
 			s.metrics.Counter("server.eval_errors").Inc()
 		}
-		return out
+		c.appendResult(&out, first)
+		return
 	}
-	out.Kind = br.Value.Kind().String()
+	out.kind = br.Value.Kind().String()
 	if ns, ok := br.Value.(value.NodeSet); ok {
-		out.Card = len(ns)
-		out.Value = strconv.Itoa(len(ns)) + " nodes"
-		n := len(ns)
-		if n > maxOrds {
-			n = maxOrds
+		// Node-sets render as their cardinality, "N nodes", with the
+		// first maxOrds node ordinals.
+		out.card = len(ns)
+		out.countValue = true
+		ords := c.ords[:0]
+		for _, n := range ns[:min(len(ns), maxOrds)] {
+			ords = append(ords, int(n.Ord))
 		}
-		out.Ords = make([]int, n)
-		for i := 0; i < n; i++ {
-			out.Ords[i] = int(ns[i].Ord)
-		}
+		c.ords = ords
+		out.ords = ords
 	} else {
-		out.Value = value.ToString(br.Value)
+		out.value = value.ToString(br.Value)
 	}
-	return out
+	c.appendResult(&out, first)
 }
 
 // errKind classifies an evaluation error for accounting and the wire:
@@ -446,7 +442,7 @@ func (s *Server) shed(w http.ResponseWriter, tenant string, cause sheddingCause)
 }
 
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Counter("server.requests").Inc()
+	s.requests.Inc()
 	backend := r.URL.Query().Get("backend")
 	if backend == "" {
 		backend = s.cfg.DefaultBackend
@@ -474,7 +470,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Counter("server.requests").Inc()
+	s.requests.Inc()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"docs":  s.registry.List(),
 		"stats": s.registry.Stats(),
@@ -482,7 +478,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	s.metrics.Counter("server.requests").Inc()
+	s.requests.Inc()
 	fp, err := ParseFingerprint(r.PathValue("fp"))
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, err.Error())
@@ -509,8 +505,12 @@ func (s *Server) httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
+// jsonContentType is the Content-Type header value of every response,
+// shared so setting it allocates nothing. net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }

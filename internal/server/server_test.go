@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -547,5 +548,84 @@ func TestLoadBackendSelection(t *testing.T) {
 	_, ts2 := newTestServer(t, Config{DefaultBackend: "columnar"})
 	if info := loadDoc(t, ts2, testDoc); info.Backend != "columnar" {
 		t.Fatalf("DefaultBackend not applied: %+v", info)
+	}
+}
+
+// TestBudgetHeadersLowercase sends the header names in lower case on the
+// wire: the server canonicalizes them on receipt, so they still apply.
+func TestBudgetHeadersLowercase(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	info := loadDoc(t, ts, testDoc)
+	body := `{"doc":"` + info.Fingerprint + `","queries":["//b[c]//a[b]"]}`
+	raw := "POST /v1/eval HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n" +
+		"x-xpath-tenant: lower\r\nx-xpath-max-ops: 1\r\nx-xpath-max-node-set: 5\r\nx-xpath-timeout-ms: 900\r\n" +
+		fmt.Sprintf("Content-Length: %d\r\nConnection: close\r\n\r\n", len(body)) + body
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, raw); err != nil {
+		t.Fatal(err)
+	}
+	reply, _ := io.ReadAll(conn)
+	if !bytes.HasPrefix(reply, []byte("HTTP/1.1 422")) {
+		t.Fatalf("lower-case x-xpath-max-ops: 1 should exhaust the budget (422), got %q", reply)
+	}
+	if n := s.metrics.Snapshot().Counter("server.budget_exceeded.tenant.lower"); n != 1 {
+		t.Errorf("lower-case x-xpath-tenant not applied: budget_exceeded.tenant.lower = %d", n)
+	}
+}
+
+// TestEvalBodyBound holds /v1/eval to MaxEvalBodyBytes: a body of
+// exactly the bound is served, one byte more is 413 with the connection
+// closed, and a chunked body with no Content-Length over the bound is
+// 413 too.
+func TestEvalBodyBound(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	info := loadDoc(t, ts, testDoc)
+	// Pad an unknown key so the body is exactly n bytes.
+	bodyOf := func(n int) string {
+		head := `{"doc":"` + info.Fingerprint + `","queries":["//b"],"pad":"`
+		return head + strings.Repeat("x", n-len(head)-2) + `"}`
+	}
+	post := func(body io.Reader, contentLength int64) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/eval", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = contentLength
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+
+	atLimit := bodyOf(MaxEvalBodyBytes)
+	if len(atLimit) != MaxEvalBodyBytes {
+		t.Fatalf("padding: body is %d bytes", len(atLimit))
+	}
+	if resp := post(strings.NewReader(atLimit), int64(len(atLimit))); resp.StatusCode != http.StatusOK {
+		t.Errorf("body of exactly %d bytes: status %d, want 200", MaxEvalBodyBytes, resp.StatusCode)
+	}
+	over := bodyOf(MaxEvalBodyBytes + 1)
+	resp := post(strings.NewReader(over), int64(len(over)))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !resp.Close {
+		t.Errorf("body of %d bytes: status %d, close %v; want 413 and a closed connection",
+			len(over), resp.StatusCode, resp.Close)
+	}
+	// A reader that is not a *strings.Reader hides the length, so the
+	// client sends the body chunked, with no Content-Length.
+	chunked := post(io.MultiReader(strings.NewReader(over)), -1)
+	if chunked.StatusCode != http.StatusRequestEntityTooLarge || !chunked.Close {
+		t.Errorf("chunked body of %d bytes: status %d, close %v; want 413 and a closed connection",
+			len(over), chunked.StatusCode, chunked.Close)
+	}
+	if resp := post(io.MultiReader(strings.NewReader(atLimit)), -1); resp.StatusCode != http.StatusOK {
+		t.Errorf("chunked body of exactly %d bytes: status %d, want 200", MaxEvalBodyBytes, resp.StatusCode)
 	}
 }

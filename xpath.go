@@ -449,9 +449,12 @@ type EvalOptions struct {
 	// engines poll it every few hundred operations and return an error
 	// matching ErrCanceled. EvalBatch checks it per query.
 	Context context.Context
-	// Timeout, when positive, derives a fresh per-evaluation deadline
-	// from Context (or context.Background). In EvalBatch every query
-	// gets its own deadline, not one shared across the batch.
+	// Timeout, when positive, gives the evaluation a deadline that many
+	// nanoseconds after it begins, polled by the resource guard on the
+	// same operation cadence as Context; an expiry returns an error
+	// matching both ErrCanceled and context.DeadlineExceeded, exactly as
+	// a Context deadline would. In EvalBatch every query gets its own
+	// deadline, not one shared across the batch.
 	Timeout time.Duration
 	// MaxOps bounds the elementary operations of one evaluation, in the
 	// same units as Counter.Budget; exceeding it returns a *BudgetError
@@ -478,9 +481,16 @@ type EvalOptions struct {
 	// shared freely across goroutines and EvalBatch workers. When nil,
 	// evaluation pays only a nil check. See docs/OBSERVABILITY.md.
 	Flight *FlightRecorder
-	// guard is the resource guard assembled from the fields above; set
-	// by Query.EvalOptions only, never by callers.
-	guard *evalctx.Guard
+	// deadline is the monotonic instant Timeout expires, fixed as the
+	// evaluation begins; guard is the resource guard assembled from the
+	// fields above for an engine run. Both are set by Query.EvalOptions
+	// only, never by callers.
+	deadline time.Time
+	guard    *evalctx.Guard
+	// borrow marks a caller that only reads the result while it visits
+	// it (VisitBatch): a result-cache hit may then hand over the cache's
+	// stored value instead of a private copy.
+	borrow bool
 	// flight is the pooled per-evaluation flight state; set by
 	// Query.EvalOptions only when Flight is attached.
 	flight *flightEval
@@ -501,28 +511,21 @@ type flightEval struct {
 
 var flightEvalPool = sync.Pool{New: func() any { return new(flightEval) }}
 
-// buildGuard assembles the evaluation guard from the public limit
-// options; nil when no limit is set. The returned cancel func releases
-// the Timeout-derived context (nil when Timeout is unset) and must run
-// when the evaluation finishes.
-func (opts *EvalOptions) buildGuard() (*evalctx.Guard, context.CancelFunc) {
-	if opts.Context == nil && opts.Timeout <= 0 &&
+// newGuard builds the resource guard of one engine run from the public
+// limit options and the deadline Query.EvalOptions derived from
+// Timeout; nil when no limit is set. Only runs that reach an engine
+// build one: a result-cache hit does no work to govern.
+func (opts *EvalOptions) newGuard() *evalctx.Guard {
+	if opts.Context == nil && opts.deadline.IsZero() &&
 		opts.MaxOps <= 0 && opts.MaxDepth <= 0 && opts.MaxNodeSet <= 0 {
-		return nil, nil
+		return nil
 	}
-	ctx := opts.Context
-	var cancel context.CancelFunc
-	if opts.Timeout > 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-	}
-	return evalctx.NewGuard(ctx, evalctx.Limits{
+	return evalctx.NewGuard(opts.Context, evalctx.Limits{
 		MaxOps:     opts.MaxOps,
 		MaxDepth:   opts.MaxDepth,
 		MaxNodeSet: opts.MaxNodeSet,
-	}), cancel
+		Deadline:   opts.deadline,
+	})
 }
 
 // Eval evaluates the query in the given context with default options.
@@ -597,37 +600,40 @@ func (q *Query) EvalOptions(ctx Context, opts EvalOptions) (v Value, err error) 
 			flightEvalPool.Put(opts.flight)
 		}
 	}()
-	guard, cancelTimeout := opts.buildGuard()
-	if cancelTimeout != nil {
-		defer cancelTimeout()
+	if opts.Timeout > 0 {
+		opts.deadline = time.Now().Add(opts.Timeout)
 	}
-	if guard != nil {
-		opts.guard = guard
-		// Fail before any work when the context is already dead.
-		if cerr := guard.Check(); cerr != nil {
-			obs.RecordOutcome(opts.Metrics, cerr)
-			return nil, cerr
-		}
+	// Fail before any work when the context is already dead or the
+	// timeout expired on arrival.
+	if cerr := evalctx.Canceled(opts.Context, opts.deadline); cerr != nil {
+		obs.RecordOutcome(opts.Metrics, cerr)
+		return nil, cerr
 	}
 	if q.cacheEligible(ctx, opts) {
 		// A hit returns without running an engine: no operations are
-		// charged to Counter or the guard, and the caller receives a
-		// private copy of the cached value. Errors are classified inside
-		// Do and never admitted; concurrent identical evaluations share
-		// one engine run (singleflight).
+		// charged to Counter or a guard, and the caller receives a
+		// private copy of the cached value — or, for a borrowing
+		// caller, the cache's own immutable one. Errors are classified
+		// inside Do and never admitted; concurrent identical evaluations
+		// share one engine run (singleflight).
 		if opts.flight != nil {
 			// Assume a hit; the leader closure flips it when the engine
 			// actually runs. Followers that join an in-flight run record
 			// a hit too — they did no engine work.
 			opts.flight.cache = flight.CacheHit
 		}
-		v, err = opts.Cache.Do(q.cacheKey(ctx, opts), ctx.Node.Document(), opts.Metrics,
-			func() (Value, error) {
-				if opts.flight != nil {
-					opts.flight.cache = flight.CacheMiss
-				}
-				return q.evalUncached(ctx, opts)
-			})
+		leader := func() (Value, error) {
+			if opts.flight != nil {
+				opts.flight.cache = flight.CacheMiss
+			}
+			return q.evalUncached(ctx, opts)
+		}
+		key, doc := q.cacheKey(ctx, opts), ctx.Node.Document()
+		if opts.borrow {
+			v, err = opts.Cache.DoBorrowed(key, doc, opts.Metrics, leader)
+		} else {
+			v, err = opts.Cache.Do(key, doc, opts.Metrics, leader)
+		}
 	} else {
 		if opts.Cache != nil {
 			if opts.flight != nil {
@@ -719,6 +725,7 @@ func (q *Query) cacheKey(ctx Context, opts EvalOptions) qcache.Key {
 // evaluation land here. The engine is always explicit by now:
 // EvalOptions resolves EngineAuto before it gets this far.
 func (q *Query) evalUncached(ctx Context, opts EvalOptions) (Value, error) {
+	opts.guard = opts.newGuard()
 	var tr *obs.Tracer
 	if opts.Trace != nil {
 		tr = obs.NewTracer(opts.Engine.String(), q.Expr, opts.Trace)
