@@ -1,21 +1,26 @@
 # Standard targets; no dependencies beyond the Go toolchain.
 
-.PHONY: all build vet test test-shuffle race test-race fuzz fuzz-short bench experiments profile pprof guard guard-race allocgate cachegate vmgate obsgate servegate storegate benchbuild examples check clean
+.PHONY: all build vet fmt test test-shuffle race test-race fuzz fuzz-short bench experiments profile pprof guard guard-race allocgate cachegate vmgate obsgate servegate storegate benchbuild examples check clean
 
 all: build vet test
 
-# Everything a PR should pass: build, vet, tests, the allocation,
+# Everything a PR should pass: build, vet, gofmt, tests, the allocation,
 # cache-hit, VM, flight-recorder and serving regression gates, the
 # race-enabled guard suite, the full race suite, a shuffled-order test
 # pass, the benchmark module's build and tests, and a short fuzz session
 # per target.
-check: all allocgate cachegate vmgate obsgate servegate storegate benchbuild guard-race test-race test-shuffle fuzz-short
+check: all fmt allocgate cachegate vmgate obsgate servegate storegate benchbuild guard-race test-race test-shuffle fuzz-short
 
 build:
 	go build ./...
 
 vet:
 	go vet ./...
+
+# Every Go file in the tree (the benchmark module included) must be
+# gofmt-clean; the offending files are listed.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	go test ./...
@@ -40,10 +45,12 @@ fuzz:
 	go test -fuzz=FuzzParse -fuzztime=30s ./internal/xpath/parser/
 	go test -fuzz=FuzzParse -fuzztime=30s ./internal/xmltree/
 
-# 30s per fuzz target: both parsers, the cross-engine differential
-# suite (five engines, warm-vs-cold byte equality) and the /v1/eval
-# codec against encoding/json (same accept/reject and fields, same
-# response bytes).
+# 30s per fuzz target: the XPath parser, the XML scanner against its
+# encoding/xml oracle (same accept/reject, nodes, numbering and
+# fingerprint on both backends), the cross-engine differential suite
+# (five engines, warm-vs-cold byte equality) and the /v1/eval codec
+# against encoding/json (same accept/reject and fields, same response
+# bytes).
 fuzz-short:
 	go test -fuzz=FuzzParse -fuzztime=30s ./internal/xpath/parser/
 	go test -fuzz=FuzzParse -fuzztime=30s ./internal/xmltree/

@@ -98,9 +98,9 @@ func TestCheckCounting(t *testing.T) {
 		}
 	}
 	bad := []string{
-		"ancestor::a[2]",            // positional on an uncountable axis
+		"ancestor::a[2]", // positional on an uncountable axis
 		"//a/following-sibling::b[1]",
-		"position() = 1",            // positional comparison outside a predicate
+		"position() = 1",             // positional comparison outside a predicate
 		"a[position() + 1 = last()]", // arithmetic over position()
 		"count(a)",
 		"a[b = 'x']",

@@ -241,15 +241,6 @@ func TestSetArena(ar *Arena, doc *xmltree.Document, a ast.Axis, t ast.NodeTest) 
 	return o
 }
 
-// testSetKey identifies a node-test membership bitset in the document
-// index's aux cache. Only the principal node type matters, not the axis
-// itself, so sets are shared across axes and across evaluations.
-type testSetKey struct {
-	principal xmltree.NodeType
-	kind      ast.TestKind
-	name      string
-}
-
 // TestSetCached is TestSet backed by the document index: the membership
 // bitset for each distinct (principal, test) pair is computed once per
 // document — from the index's per-tag and per-kind node lists rather
@@ -264,8 +255,10 @@ func TestSetCached(ix *xmltree.Index, a ast.Axis, t ast.NodeTest) Set {
 	if a == ast.AxisAttribute {
 		principal = xmltree.AttributeNode
 	}
-	key := testSetKey{principal: principal, kind: t.Kind, name: t.Name}
-	words := ix.Aux(key, func() any { return testWords(ix, principal, t) }).([]uint64)
+	// Only the principal node type matters, not the axis itself, so sets
+	// are shared across axes and across evaluations.
+	key := xmltree.TestKey{Principal: principal, Kind: int(t.Kind), Name: t.Name}
+	words := ix.TestWords(key, func() []uint64 { return testWords(ix, principal, t) })
 	return Set{Doc: doc, Words: words}
 }
 

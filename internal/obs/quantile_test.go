@@ -62,13 +62,13 @@ func TestQuantileBucketEdges(t *testing.T) {
 		q    float64
 		want int64
 	}{
-		{0, 1},      // rank 1 lands in bucket 1, [1,1]
-		{0.125, 1},  // rank 1: the exact lowest sample
-		{0.25, 2},   // rank 2 is the first of bucket 2's [2,3]
-		{0.5, 4},    // rank 4 is the first of bucket 3's [4,7]
-		{0.875, 7},  // rank 7 is the last of bucket 3's [4,7]
-		{0.99, 8},   // rank 8 lands in bucket 4, clamped to Max
-		{1, 8},      // q ≥ 1 is exactly Max
+		{0, 1},     // rank 1 lands in bucket 1, [1,1]
+		{0.125, 1}, // rank 1: the exact lowest sample
+		{0.25, 2},  // rank 2 is the first of bucket 2's [2,3]
+		{0.5, 4},   // rank 4 is the first of bucket 3's [4,7]
+		{0.875, 7}, // rank 7 is the last of bucket 3's [4,7]
+		{0.99, 8},  // rank 8 lands in bucket 4, clamped to Max
+		{1, 8},     // q ≥ 1 is exactly Max
 	}
 	for _, tc := range cases {
 		if got := s.Quantile(tc.q); got != tc.want {

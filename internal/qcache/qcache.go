@@ -118,10 +118,16 @@ type entry struct {
 // on. val is the admitted cache-owned copy (nil when err is set or the
 // result was not admissible).
 type call struct {
+	// done is made by the first waiter, under Cache.mu, and closed by
+	// the leader when it settles. A call nobody waited on never has one:
+	// the leader recycles it, so an uncontended miss allocates neither.
 	done chan struct{}
 	val  value.Value
 	err  error
 }
+
+// maxFreeCalls bounds the recycled calls a cache keeps.
+const maxFreeCalls = 64
 
 // Cache is a bounded shared result cache. Construct with New; the zero
 // value is not usable. All methods are safe for concurrent use.
@@ -134,6 +140,7 @@ type Cache struct {
 	entries    map[Key]*list.Element
 	docs       map[uint64]*entry // head of each fingerprint's entry chain
 	inflight   map[Key]*call
+	freeCalls  []*call // settled calls nobody waited on, for reuse
 	// gaugesOn is the registry RegisterGauges last attached to.
 	gaugesOn atomic.Pointer[obs.Metrics]
 
@@ -257,9 +264,13 @@ func (c *Cache) do(key Key, doc *xmltree.Document, m *obs.Metrics, borrow bool, 
 		}
 		if cl, ok := c.inflight[key]; ok {
 			c.inflightWaits++
+			if cl.done == nil {
+				cl.done = make(chan struct{})
+			}
+			done := cl.done
 			c.mu.Unlock()
 			m.Counter(MetricInflightWait).Inc()
-			<-cl.done
+			<-done
 			if cl.err == nil && cl.val != nil {
 				return serve(cl.val, doc, borrow), nil
 			}
@@ -268,7 +279,13 @@ func (c *Cache) do(key Key, doc *xmltree.Document, m *obs.Metrics, borrow bool, 
 			// degrade to per-caller evaluation, never to a cached error.
 			continue
 		}
-		cl := &call{done: make(chan struct{})}
+		var cl *call
+		if n := len(c.freeCalls); n > 0 {
+			cl = c.freeCalls[n-1]
+			c.freeCalls = c.freeCalls[:n-1]
+		} else {
+			cl = new(call)
+		}
 		c.inflight[key] = cl
 		c.misses++
 		c.mu.Unlock()
@@ -303,11 +320,16 @@ func (c *Cache) lead(key Key, doc *xmltree.Document, m *obs.Metrics, cl *call, b
 	settled := false
 	settle := func(admitted value.Value, e error) {
 		settled = true
-		cl.val, cl.err = admitted, e
 		c.mu.Lock()
 		delete(c.inflight, key)
+		if cl.done != nil {
+			cl.val, cl.err = admitted, e
+			close(cl.done)
+		} else if len(c.freeCalls) < maxFreeCalls {
+			// Nobody waited and nobody can find it any more.
+			c.freeCalls = append(c.freeCalls, cl)
+		}
 		c.mu.Unlock()
-		close(cl.done)
 	}
 	defer func() {
 		if !settled { // eval panicked: fail the call and let waiters retry

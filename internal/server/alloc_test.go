@@ -64,8 +64,10 @@ const (
 	evalHitAllocs = 8
 	// evalMissAllocs: the same request when its result-cache entry was
 	// just invalidated, so the bytecode VM runs, its guard is built and
-	// the result is admitted.
-	evalMissAllocs = 10
+	// the result is admitted. An uncontended miss recycles its
+	// singleflight call and makes no wait channel, and the name test's
+	// cached bitset is found under an unboxed key.
+	evalMissAllocs = 6
 )
 
 // TestEvalAllocs is the handler's allocation gate: the request decode,

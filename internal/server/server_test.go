@@ -577,6 +577,40 @@ func TestBudgetHeadersLowercase(t *testing.T) {
 	}
 }
 
+// TestDocumentLoadBound holds /v1/documents to MaxDocumentBytes through
+// the parser's read: a document within the bound loads (201), one past
+// it is 413 whether sent with a length or chunked, and a malformed one
+// within it is 400.
+func TestDocumentLoadBound(t *testing.T) {
+	const limit = 64
+	_, ts := newTestServer(t, Config{MaxDocumentBytes: limit})
+	post := func(body io.Reader) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/documents", "application/xml", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	doc := func(n int) string { // a well-formed document of n bytes
+		return "<a>" + strings.Repeat("x", n-7) + "</a>"
+	}
+	if got := post(strings.NewReader(doc(limit))); got != http.StatusCreated {
+		t.Errorf("document of %d bytes: status %d, want 201", limit, got)
+	}
+	if got := post(strings.NewReader(doc(limit + 1))); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("document of %d bytes: status %d, want 413", limit+1, got)
+	}
+	if got := post(io.MultiReader(strings.NewReader(doc(4 * limit)))); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("chunked document of %d bytes: status %d, want 413", 4*limit, got)
+	}
+	if got := post(strings.NewReader("<a><b></a>")); got != http.StatusBadRequest {
+		t.Errorf("malformed document: status %d, want 400", got)
+	}
+}
+
 // TestEvalBodyBound holds /v1/eval to MaxEvalBodyBytes: a body of
 // exactly the bound is served, one byte more is 413 with the connection
 // closed, and a chunked body with no Content-Length over the bound is

@@ -1,6 +1,9 @@
 package xmltree
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // Elem constructs an element node with the given tag and children. The
 // returned node is loose until passed to NewDocument (possibly as a
@@ -58,73 +61,96 @@ func NewDocument(rootChildren ...*Node) *Document {
 	root := &Node{Type: RootNode}
 	root.Children = rootChildren
 	d := &Document{Root: root}
-	pre, post := 0, 0
-	d.number(root, &pre, &post)
+	d.number()
 	return d
 }
 
-// number assigns Parent, SiblingIdx, Ord, Pre and Post over the subtree.
-// It is the single build entry point of the document model, so it also
-// drops any cached index (see Document.Index).
-func (d *Document) number(n *Node, pre, post *int) {
-	if n == d.Root {
-		d.invalidateIndex()
-		d.invalidateFingerprint()
-		d.invalidateStore()
+// number assigns Parent, SiblingIdx, Ord, Pre and Post over the tree
+// under d.Root, depth-first with its own stack (depth costs no Go
+// stack). It is the single build entry point of the document model, so
+// it also drops any cached index, fingerprint and store.
+func (d *Document) number() {
+	d.invalidateIndex()
+	d.invalidateFingerprint()
+	d.invalidateStore()
+	d.Nodes = d.Nodes[:0]
+	pre, post := 0, 0
+	type frame struct {
+		n    *Node
+		next int // next child to visit
 	}
-	n.doc = d
-	n.Pre = *pre
-	*pre++
-	n.Ord = len(d.Nodes)
-	d.Nodes = append(d.Nodes, n)
-	for i, a := range n.Attrs {
-		if a.Type != AttributeNode {
-			panic(fmt.Sprintf("xmltree: non-attribute node %v in Attrs of %q", a.Type, n.Name))
+	var stack []frame
+	enter := func(n *Node) {
+		n.doc = d
+		n.Pre = pre
+		pre++
+		n.Ord = len(d.Nodes)
+		d.Nodes = append(d.Nodes, n)
+		for i, a := range n.Attrs {
+			if a.Type != AttributeNode {
+				panic(fmt.Sprintf("xmltree: non-attribute node %v in Attrs of %q", a.Type, n.Name))
+			}
+			a.doc = d
+			a.Parent = n
+			a.SiblingIdx = i
+			a.Ord = len(d.Nodes)
+			// Attributes share the owner's pre/post interval so that
+			// ancestor-or-self style interval tests behave sensibly.
+			a.Pre = n.Pre
+			d.Nodes = append(d.Nodes, a)
 		}
-		a.doc = d
-		a.Parent = n
-		a.SiblingIdx = i
-		a.Ord = len(d.Nodes)
-		// Attributes share the owner's pre/post interval so that
-		// ancestor-or-self style interval tests behave sensibly.
-		a.Pre = n.Pre
-		d.Nodes = append(d.Nodes, a)
+		stack = append(stack, frame{n: n})
 	}
-	for i, c := range n.Children {
-		c.Parent = n
-		c.SiblingIdx = i
-		d.number(c, pre, post)
-	}
-	n.Post = *post
-	*post++
-	for _, a := range n.Attrs {
-		a.Post = n.Post
+	enter(d.Root)
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		n := top.n
+		if i := top.next; i < len(n.Children) {
+			top.next++
+			c := n.Children[i]
+			c.Parent = n
+			c.SiblingIdx = i
+			enter(c)
+			continue
+		}
+		n.Post = post
+		post++
+		for _, a := range n.Attrs {
+			a.Post = n.Post
+		}
+		stack = stack[:len(stack)-1]
 	}
 }
 
 // Copy returns a deep copy of the document. The copy is independently
 // numbered and safe to mutate before re-finalizing.
 func (d *Document) Copy() *Document {
-	var cp func(n *Node) *Node
-	cp = func(n *Node) *Node {
-		m := &Node{Type: n.Type, Name: n.Name, Data: n.Data}
-		if n.labels != nil {
-			m.labels = make(map[string]bool, len(n.labels))
-			for l := range n.labels {
-				m.labels[l] = true
-			}
-		}
+	clone := func(n *Node) *Node {
+		m := &Node{Type: n.Type, Name: n.Name, Data: n.Data, labels: maps.Clone(n.labels)}
 		for _, a := range n.Attrs {
-			m.Attrs = append(m.Attrs, cp(a))
-		}
-		for _, c := range n.Children {
-			m.Children = append(m.Children, cp(c))
+			m.Attrs = append(m.Attrs, &Node{Type: a.Type, Name: a.Name, Data: a.Data, labels: maps.Clone(a.labels)})
 		}
 		return m
 	}
-	rootCopy := cp(d.Root)
-	nd := &Document{Root: rootCopy}
-	pre, post := 0, 0
-	nd.number(rootCopy, &pre, &post)
+	type frame struct {
+		n, m *Node // the original and its copy
+		next int   // next child to copy
+	}
+	root := clone(d.Root)
+	stack := []frame{{n: d.Root, m: root}}
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if i := top.next; i < len(top.n.Children) {
+			top.next++
+			c := top.n.Children[i]
+			mc := clone(c)
+			top.m.Children = append(top.m.Children, mc)
+			stack = append(stack, frame{n: c, m: mc})
+			continue
+		}
+		stack = stack[:len(stack)-1]
+	}
+	nd := &Document{Root: root}
+	nd.number()
 	return nd
 }

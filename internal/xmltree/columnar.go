@@ -26,22 +26,9 @@ import (
 // a view can be dropped under memory pressure and rebuilt later without
 // invalidating fingerprint-keyed caches.
 type Columnar struct {
-	// kind is the node kind per ord.
-	kind []NodeType
-	// label indexes names per ord (element tag, attribute name, PI
-	// target); -1 for root, text and comment nodes.
-	label []int32
-	// parent, firstChild and nextSibling are the structural links as
-	// ords, -1 when absent. Attribute entries carry parent only.
-	parent      []int32
-	firstChild  []int32
-	nextSibling []int32
-	// pre and post are the pre/post-order numbers (attributes share
-	// their owner's interval, as in the pointer tree).
-	pre, post []int32
-	// dataOff is the n+1 monotone offset table into blob: the character
-	// data of ord i is blob[dataOff[i]:dataOff[i+1]].
-	dataOff []uint32
+	// flat holds the per-ord arrays: kind, label id, parent,
+	// first-child, next-sibling, pre, post and data offset.
+	flat
 	// blob is every text, attribute-value, comment and PI payload,
 	// concatenated in document order.
 	blob string
@@ -68,19 +55,7 @@ func NewColumnar(d *Document) *Columnar {
 	if n > math.MaxInt32 {
 		panic(fmt.Sprintf("xmltree: document of %d nodes exceeds the columnar ord width", n))
 	}
-	c := &Columnar{
-		kind:        make([]NodeType, n),
-		label:       make([]int32, n),
-		parent:      make([]int32, n),
-		firstChild:  make([]int32, n),
-		nextSibling: make([]int32, n),
-		pre:         make([]int32, n),
-		post:        make([]int32, n),
-		dataOff:     make([]uint32, n+1),
-		tagOrds:     make(map[string][]int32),
-		attrOrds:    make(map[string][]int32),
-		fp:          d.Fingerprint(),
-	}
+	c := &Columnar{flat: newFlat(n), fp: d.Fingerprint()}
 	intern := make(map[string]int32)
 	internName := func(s string) int32 {
 		if id, ok := intern[s]; ok {
@@ -97,7 +72,7 @@ func NewColumnar(d *Document) *Columnar {
 		c.pre[ord] = int32(m.Pre)
 		c.post[ord] = int32(m.Post)
 		c.label[ord] = -1
-		if m.Name != "" {
+		if m.Name != "" || m.Type == ElementNode || m.Type == AttributeNode {
 			c.label[ord] = internName(m.Name)
 		}
 		c.parent[ord] = -1
@@ -116,12 +91,6 @@ func NewColumnar(d *Document) *Columnar {
 		}
 		c.dataOff[ord] = uint32(blob.Len())
 		blob.WriteString(m.Data)
-		switch m.Type {
-		case ElementNode:
-			c.tagOrds[m.Name] = append(c.tagOrds[m.Name], int32(ord))
-		case AttributeNode:
-			c.attrOrds[m.Name] = append(c.attrOrds[m.Name], int32(ord))
-		}
 		if ls := m.Labels(); len(ls) > 0 {
 			if c.extraLabels == nil {
 				c.extraLabels = make(map[int32][]string)
@@ -131,6 +100,7 @@ func NewColumnar(d *Document) *Columnar {
 	}
 	c.dataOff[n] = uint32(blob.Len())
 	c.blob = blob.String()
+	c.tagOrds, c.attrOrds = c.ordLists(c.names)
 	return c
 }
 
@@ -200,11 +170,11 @@ func (c *Columnar) SizeBytes() int64 {
 	)
 	n := int64(len(c.kind))
 	size := int64(unsafe.Sizeof(*c))
-	size += n * 1                 // kind
-	size += n * 4 * 6             // label, parent, firstChild, nextSibling, pre, post
-	size += (n + 1) * 4           // dataOff
-	size += int64(len(c.blob))    // blob payload
-	size += sliceHeader * 8       // the eight array headers
+	size += n * 1              // kind
+	size += n * 4 * 6          // label, parent, firstChild, nextSibling, pre, post
+	size += (n + 1) * 4        // dataOff
+	size += int64(len(c.blob)) // blob payload
+	size += sliceHeader * 8    // the eight array headers
 	size += strHeader * int64(len(c.names))
 	for _, s := range c.names {
 		size += int64(len(s))
@@ -232,103 +202,19 @@ func (c *Columnar) SizeBytes() int64 {
 // the same store is content- and order-identical: node sets cached by
 // (fingerprint, ord) remap cleanly onto any view of the store.
 func (c *Columnar) Document() *Document {
-	n := len(c.kind)
-	slab := make([]Node, n)
-	nodes := make([]*Node, n)
-	// Count child/attr arity per node, then carve exact sub-slices out
-	// of two shared backings: no per-node slice allocations, no append
-	// slack.
-	childCount := make([]int32, n)
-	attrCount := make([]int32, n)
-	totChild, totAttr := 0, 0
-	for ord := 0; ord < n; ord++ {
-		p := c.parent[ord]
-		if p < 0 {
-			continue
-		}
-		if c.kind[ord] == AttributeNode {
-			attrCount[p]++
-			totAttr++
-		} else {
-			childCount[p]++
-			totChild++
-		}
-	}
-	childBacking := make([]*Node, totChild)
-	attrBacking := make([]*Node, totAttr)
-	childNext := make([]int32, n)
-	attrNext := make([]int32, n)
-	for ord, off := 0, int32(0); ord < n; ord++ {
-		childNext[ord] = off
-		off += childCount[ord]
-	}
-	for ord, off := 0, int32(0); ord < n; ord++ {
-		attrNext[ord] = off
-		off += attrCount[ord]
-	}
-	d := &Document{}
-	for ord := 0; ord < n; ord++ {
-		m := &slab[ord]
-		nodes[ord] = m
-		m.Type = c.kind[ord]
-		if id := c.label[ord]; id >= 0 {
-			m.Name = c.names[id]
-		}
-		m.Data = c.blob[c.dataOff[ord]:c.dataOff[ord+1]]
-		m.Pre = int(c.pre[ord])
-		m.Post = int(c.post[ord])
-		m.Ord = ord
-		m.doc = d
-		if p := c.parent[ord]; p >= 0 {
-			par := &slab[p]
-			m.Parent = par
-			if c.kind[ord] == AttributeNode {
-				i := attrNext[p]
-				attrNext[p]++
-				attrBacking[i] = m
-			} else {
-				i := childNext[p]
-				childNext[p]++
-				childBacking[i] = m
-			}
-		}
-	}
-	// Second pass: install the carved slices and sibling indices (the
-	// offsets were consumed above; recompute the starts).
-	for ord, off := 0, int32(0); ord < n; ord++ {
-		cnt := childCount[ord]
-		if cnt > 0 {
-			slab[ord].Children = childBacking[off : off+cnt : off+cnt]
-			for i, ch := range slab[ord].Children {
-				ch.SiblingIdx = i
-			}
-		}
-		off += cnt
-	}
-	for ord, off := 0, int32(0); ord < n; ord++ {
-		cnt := attrCount[ord]
-		if cnt > 0 {
-			slab[ord].Attrs = attrBacking[off : off+cnt : off+cnt]
-			for i, a := range slab[ord].Attrs {
-				a.SiblingIdx = i
-			}
-		}
-		off += cnt
-	}
+	d, nchild, nattr := c.hydrate(c.blob, c.names)
 	for ord, ls := range c.extraLabels {
-		m := &slab[ord]
+		m := d.Nodes[ord]
 		m.labels = make(map[string]bool, len(ls))
 		for _, l := range ls {
 			m.labels[l] = true
 		}
 	}
-	d.Root = &slab[0]
-	d.Nodes = nodes
 	// Prime the fingerprint from the store and install the backend: the
 	// view never recomputes what the encoding already knows.
 	d.fp.Store(c.fp)
 	d.fpSet.Store(true)
-	d.setStore(c, c.viewBytes(n, totChild, totAttr))
+	d.setStore(c, c.viewBytes(len(c.kind), nchild, nattr))
 	return d
 }
 

@@ -1,9 +1,6 @@
 package xmltree
 
-import (
-	"encoding/binary"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // fpCache is the cached-fingerprint slot embedded in Document, the
 // sibling of indexCache: computed lazily, dropped on renumber.
@@ -56,50 +53,75 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-type fnv64 uint64
+// The hash steps are pure functions of the running value, so a hot loop
+// keeps the value in a register.
 
-func (h *fnv64) byte(b byte) {
-	*h = (*h ^ fnv64(b)) * fnvPrime64
-}
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
 
-func (h *fnv64) string(s string) {
+// fnvString hashes s, length-delimited so ("ab","c") and ("a","bc")
+// differ.
+func fnvString[S string | []byte](h uint64, s S) uint64 {
 	for i := 0; i < len(s); i++ {
-		h.byte(s[i])
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
-	// Length-delimit so ("ab","c") and ("a","bc") differ.
-	h.uvarint(uint64(len(s)))
+	return fnvUvarint(h, uint64(len(s)))
 }
 
-func (h *fnv64) uvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	for i := 0; i < n; i++ {
-		h.byte(buf[i])
+// fnvUvarint hashes v in its unsigned varint encoding.
+func fnvUvarint(h uint64, v uint64) uint64 {
+	for v >= 0x80 {
+		h = fnvByte(h, byte(v)|0x80)
+		v >>= 7
 	}
+	return fnvByte(h, byte(v))
 }
 
+// fnvLeaf hashes a node without labels, attributes or children, as
+// fingerprintDocument does.
+func fnvLeaf(h uint64, t NodeType, name, data []byte) uint64 {
+	h = fnvByte(h, byte(t))
+	h = fnvString(h, name)
+	h = fnvString(h, data)
+	h = fnvByte(h, '(')
+	return fnvByte(h, ')')
+}
+
+// fingerprintDocument hashes the tree in pre-order: per node its kind,
+// name, data, labels and attributes, then its children between '(' and
+// ')'. The walk keeps its own stack, so depth costs no Go stack.
 func fingerprintDocument(d *Document) uint64 {
-	h := fnv64(fnvOffset64)
-	var visit func(n *Node)
-	visit = func(n *Node) {
-		h.byte(byte(n.Type))
-		h.string(n.Name)
-		h.string(n.Data)
+	h := uint64(fnvOffset64)
+	type frame struct {
+		n    *Node
+		next int // next child to visit
+	}
+	var stack []frame
+	enter := func(n *Node) {
+		h = fnvByte(h, byte(n.Type))
+		h = fnvString(h, n.Name)
+		h = fnvString(h, n.Data)
 		for _, l := range n.Labels() {
-			h.byte('L')
-			h.string(l)
+			h = fnvByte(h, 'L')
+			h = fnvString(h, l)
 		}
 		for _, a := range n.Attrs {
-			h.byte('A')
-			h.string(a.Name)
-			h.string(a.Data)
+			h = fnvByte(h, 'A')
+			h = fnvString(h, a.Name)
+			h = fnvString(h, a.Data)
 		}
-		h.byte('(')
-		for _, c := range n.Children {
-			visit(c)
-		}
-		h.byte(')')
+		h = fnvByte(h, '(')
+		stack = append(stack, frame{n: n})
 	}
-	visit(d.Root)
-	return uint64(h)
+	enter(d.Root)
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next < len(top.n.Children) {
+			top.next++
+			enter(top.n.Children[top.next-1])
+			continue
+		}
+		h = fnvByte(h, ')')
+		stack = stack[:len(stack)-1]
+	}
+	return h
 }

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,11 +53,19 @@ type Index struct {
 	// word-parallel.
 	attrMask []uint64
 
-	// aux holds lazily computed evaluator-layer structures keyed by any
-	// comparable key (e.g. the cached node-test membership arrays of
-	// package nodeset). Values must be immutable once published.
-	auxMu sync.RWMutex
-	aux   map[any]any
+	// words holds the node-test membership bitsets package nodeset
+	// computes lazily (TestWords). Values are immutable once published.
+	wordsMu sync.RWMutex
+	words   map[TestKey][]uint64
+}
+
+// TestKey identifies a node-test membership bitset cached on an index:
+// the principal node type of the step's axis, and the node test's kind
+// (package ast's TestKind) and name.
+type TestKey struct {
+	Principal NodeType
+	Kind      int
+	Name      string
 }
 
 // Index returns the document's index, building it on first use. The
@@ -111,35 +120,66 @@ func (d *Document) invalidateIndex() {
 }
 
 func buildIndex(d *Document) *Index {
-	if c := d.columnarStore(); c != nil && c.NumNodes() == len(d.Nodes) {
-		return buildIndexColumnar(d, c)
-	}
 	n := len(d.Nodes)
 	ix := &Index{
-		doc:         d,
-		elemsByTag:  make(map[string][]*Node),
-		attrsByName: make(map[string][]*Node),
-		firstChild:  make([]int32, n),
-		nextSibling: make([]int32, n),
-		parent:      make([]int32, n),
-		isAttr:      make([]bool, n),
-		attrMask:    make([]uint64, (n+63)>>6),
+		doc:      d,
+		isAttr:   make([]bool, n),
+		attrMask: make([]uint64, (n+63)>>6),
 	}
-	for i := range ix.firstChild {
-		ix.firstChild[i] = -1
-		ix.nextSibling[i] = -1
-		ix.parent[i] = -1
+	// The per-name lists come from the store's ord lists; a columnar
+	// store also lends its structural arrays, zero-copy (both sides treat
+	// them as immutable).
+	var tags, attrs map[string][]int32
+	switch s := d.Store().(type) {
+	case *Columnar:
+		tags, attrs = s.tagOrds, s.attrOrds
+		ix.firstChild, ix.nextSibling, ix.parent = s.firstChild, s.nextSibling, s.parent
+	case *pointerStore:
+		tags, attrs = s.ordLists()
+	default:
+		panic(fmt.Sprintf("xmltree: no index for the %s backend", s.Backend()))
+	}
+	ix.elemsByTag = nodeLists(d, tags)
+	ix.attrsByName = nodeLists(d, attrs)
+
+	var nelem, ntext, ncomment, npi, ntree int
+	for _, m := range d.Nodes {
+		switch m.Type {
+		case ElementNode:
+			nelem++
+		case TextNode:
+			ntext++
+		case CommentNode:
+			ncomment++
+		case ProcInstNode:
+			npi++
+		}
+		if m.Type != AttributeNode {
+			ntree++
+		}
+	}
+	ix.elements = make([]*Node, 0, nelem)
+	ix.texts = make([]*Node, 0, ntext)
+	ix.comments = make([]*Node, 0, ncomment)
+	ix.procInsts = make([]*Node, 0, npi)
+	ix.treeNodes = make([]*Node, 0, ntree)
+	flat := ix.firstChild == nil
+	if flat {
+		ix.firstChild = make([]int32, n)
+		ix.nextSibling = make([]int32, n)
+		ix.parent = make([]int32, n)
 	}
 	for _, m := range d.Nodes {
-		if m.Parent != nil {
-			ix.parent[m.Ord] = int32(m.Parent.Ord)
+		if flat {
+			ix.firstChild[m.Ord], ix.nextSibling[m.Ord], ix.parent[m.Ord] = -1, -1, -1
+			if m.Parent != nil {
+				ix.parent[m.Ord] = int32(m.Parent.Ord)
+			}
 		}
 		switch m.Type {
 		case ElementNode:
-			ix.elemsByTag[m.Name] = append(ix.elemsByTag[m.Name], m)
 			ix.elements = append(ix.elements, m)
 		case AttributeNode:
-			ix.attrsByName[m.Name] = append(ix.attrsByName[m.Name], m)
 			ix.isAttr[m.Ord] = true
 			ix.attrMask[m.Ord>>6] |= 1 << (uint(m.Ord) & 63)
 			continue // attributes have no child/sibling entries
@@ -151,66 +191,35 @@ func buildIndex(d *Document) *Index {
 			ix.procInsts = append(ix.procInsts, m)
 		}
 		ix.treeNodes = append(ix.treeNodes, m)
-		if len(m.Children) > 0 {
-			ix.firstChild[m.Ord] = int32(m.Children[0].Ord)
-		}
-		if s := m.NextSibling(); s != nil {
-			ix.nextSibling[m.Ord] = int32(s.Ord)
+		if flat {
+			if len(m.Children) > 0 {
+				ix.firstChild[m.Ord] = int32(m.Children[0].Ord)
+			}
+			if s := m.NextSibling(); s != nil {
+				ix.nextSibling[m.Ord] = int32(s.Ord)
+			}
 		}
 	}
 	return ix
 }
 
-// buildIndexColumnar builds the index of a columnar-backed view without
-// recomputing structure: the flat first-child/next-sibling/parent arrays
-// are shared zero-copy with the store (both sides treat them as
-// immutable), and the per-tag/per-attribute lists are the store's ord
-// lists mapped through the hydrated slab. Only the per-kind lists and
-// the attribute mask are built fresh.
-func buildIndexColumnar(d *Document, c *Columnar) *Index {
-	n := len(d.Nodes)
-	ix := &Index{
-		doc:         d,
-		elemsByTag:  make(map[string][]*Node, len(c.tagOrds)),
-		attrsByName: make(map[string][]*Node, len(c.attrOrds)),
-		firstChild:  c.firstChild,
-		nextSibling: c.nextSibling,
-		parent:      c.parent,
-		isAttr:      make([]bool, n),
-		attrMask:    make([]uint64, (n+63)>>6),
+// nodeLists maps per-name ord lists to node lists, carved from one
+// backing.
+func nodeLists(d *Document, ords map[string][]int32) map[string][]*Node {
+	total := 0
+	for _, l := range ords {
+		total += len(l)
 	}
-	for tag, ords := range c.tagOrds {
-		list := make([]*Node, len(ords))
-		for i, o := range ords {
-			list[i] = d.Nodes[o]
+	backing := make([]*Node, 0, total)
+	out := make(map[string][]*Node, len(ords))
+	for name, l := range ords {
+		start := len(backing)
+		for _, o := range l {
+			backing = append(backing, d.Nodes[o])
 		}
-		ix.elemsByTag[tag] = list
+		out[name] = backing[start:len(backing):len(backing)]
 	}
-	for name, ords := range c.attrOrds {
-		list := make([]*Node, len(ords))
-		for i, o := range ords {
-			list[i] = d.Nodes[o]
-		}
-		ix.attrsByName[name] = list
-	}
-	for _, m := range d.Nodes {
-		switch m.Type {
-		case ElementNode:
-			ix.elements = append(ix.elements, m)
-		case AttributeNode:
-			ix.isAttr[m.Ord] = true
-			ix.attrMask[m.Ord>>6] |= 1 << (uint(m.Ord) & 63)
-			continue // attributes have no child/sibling entries
-		case TextNode:
-			ix.texts = append(ix.texts, m)
-		case CommentNode:
-			ix.comments = append(ix.comments, m)
-		case ProcInstNode:
-			ix.procInsts = append(ix.procInsts, m)
-		}
-		ix.treeNodes = append(ix.treeNodes, m)
-	}
-	return ix
+	return out
 }
 
 // Doc returns the indexed document.
@@ -345,28 +354,29 @@ func PrecedingScan(dst []*Node, list []*Node, n *Node) []*Node {
 	return dst
 }
 
-// Aux returns the auxiliary value cached under key, computing it with
-// build on first use. Concurrent first calls may run build more than
-// once; the first stored value wins, so build must produce values that
-// are interchangeable and immutable once published.
-func (ix *Index) Aux(key any, build func() any) any {
-	ix.auxMu.RLock()
-	v, ok := ix.aux[key]
-	ix.auxMu.RUnlock()
+// TestWords returns the membership bitset cached under key, computing
+// it with build on first use. Concurrent first calls may run build more
+// than once; the first stored value wins, so build must produce values
+// that are interchangeable and immutable once published. The key is a
+// plain struct, so a lookup allocates nothing.
+func (ix *Index) TestWords(key TestKey, build func() []uint64) []uint64 {
+	ix.wordsMu.RLock()
+	v, ok := ix.words[key]
+	ix.wordsMu.RUnlock()
 	if ok {
 		return v
 	}
 	v = build()
-	ix.auxMu.Lock()
-	if ix.aux == nil {
-		ix.aux = make(map[any]any)
+	ix.wordsMu.Lock()
+	if ix.words == nil {
+		ix.words = make(map[TestKey][]uint64)
 	}
-	if old, ok := ix.aux[key]; ok {
+	if old, ok := ix.words[key]; ok {
 		v = old
 	} else {
-		ix.aux[key] = v
+		ix.words[key] = v
 	}
-	ix.auxMu.Unlock()
+	ix.wordsMu.Unlock()
 	return v
 }
 

@@ -1,7 +1,6 @@
 package xmltree
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -220,29 +219,34 @@ func TestIndexConcurrentFirstBuildAndInvalidation(t *testing.T) {
 	}
 }
 
-// Aux computes each key once and returns the same value thereafter,
-// including under concurrency.
-func TestIndexAuxCache(t *testing.T) {
+// TestWords computes each key once and returns the same value
+// thereafter, including under concurrency.
+func TestIndexTestWordsCache(t *testing.T) {
 	d := randomIndexedDoc(t, 10, 50)
 	ix := d.Index()
-	v1 := ix.Aux("k", func() any { return []bool{true} })
-	v2 := ix.Aux("k", func() any { t.Fatal("built twice"); return nil })
-	if fmt.Sprintf("%p", v1) != fmt.Sprintf("%p", v2) {
-		t.Fatal("Aux returned different values for the same key")
+	k := TestKey{Principal: ElementNode, Name: "a"}
+	v1 := ix.TestWords(k, func() []uint64 { return []uint64{1} })
+	v2 := ix.TestWords(k, func() []uint64 { t.Fatal("built twice"); return nil })
+	if &v1[0] != &v2[0] {
+		t.Fatal("TestWords returned different values for the same key")
 	}
 	var wg sync.WaitGroup
-	vals := make([]any, 32)
+	vals := make([][]uint64, 32)
+	k2 := TestKey{Principal: AttributeNode, Name: "a"}
 	for g := range vals {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			vals[g] = ix.Aux("k2", func() any { return new(int) })
+			vals[g] = ix.TestWords(k2, func() []uint64 { return make([]uint64, 1) })
 		}(g)
 	}
 	wg.Wait()
 	for g := 1; g < len(vals); g++ {
-		if vals[g] != vals[0] {
-			t.Fatal("Aux published two values for one key")
+		if &vals[g][0] != &vals[0][0] {
+			t.Fatal("TestWords published two values for one key")
 		}
+	}
+	if got := testing.AllocsPerRun(100, func() { ix.TestWords(k, nil) }); got != 0 {
+		t.Fatalf("a cached lookup allocates %v times", got)
 	}
 }

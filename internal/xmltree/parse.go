@@ -1,27 +1,38 @@
 package xmltree
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"unicode"
+	"unsafe"
 )
 
 // Parse reads an XML document from r and builds the document tree.
-// Namespace prefixes are kept as part of element and attribute names
-// (namespace semantics are out of scope, see DESIGN.md §7). Whitespace-only
-// text nodes are preserved only when keepSpace is requested via
-// ParseOptions; Parse itself drops them, matching the behaviour XPath test
-// suites conventionally assume for data-oriented documents.
+//
+// The parser accepts exactly what encoding/xml's strict Decoder accepts
+// (UTF-8 only, the five predefined entities and character references,
+// DOCTYPE and other directives skipped) and keeps the namespace-free
+// data model of DESIGN.md §7: a namespace prefix is stripped, so <p:b>
+// is the element b (<p:b:c> is rejected, and an end tag must repeat
+// its start tag's prefix); namespace declarations (xmlns, xmlns:p) are
+// dropped, and so is an attribute whose prefix is bound to the URI
+// "xmlns"; duplicate attributes are kept; several top-level elements
+// are accepted; character data outside every element is dropped. A
+// name whose local part cannot stand alone (<p:0/>) is rejected.
+//
+// Whitespace-only text nodes are preserved only when keepSpace is
+// requested via ParseOptions or ParseConfig; Parse itself drops them,
+// matching the behaviour XPath test suites conventionally assume for
+// data-oriented documents. The test is per character-data token, before
+// adjacent runs coalesce: "x<![CDATA[ ]]>y" is the single text "xy".
 func Parse(r io.Reader) (*Document, error) {
 	return ParseOptions(r, false)
 }
 
 // ParseString parses an XML document held in a string.
 func ParseString(s string) (*Document, error) {
-	return Parse(strings.NewReader(s))
+	return parse(unsafe.Slice(unsafe.StringData(s), len(s)), false, BackendPointer)
 }
 
 // ParseConfig bundles parse-time options for ParseWith.
@@ -30,128 +41,24 @@ type ParseConfig struct {
 	KeepSpace bool
 	// Backend selects the storage backend of the returned document:
 	// BackendPointer (the default, also selected by ""), or
-	// BackendColumnar to convert the parse into the struct-of-arrays
+	// BackendColumnar to keep the parse in the struct-of-arrays
 	// encoding and return its hydrated view.
 	Backend string
 }
 
-// ParseWith parses an XML document under the given configuration. With
-// the columnar backend the parse-time pointer tree is discarded after
-// conversion; content, numbering and fingerprint are identical across
+// ParseWith parses an XML document under the given configuration.
+// Both backends are built straight from the scan: the columnar backend
+// keeps its arrays, the pointer backend hydrates one node slab from
+// them. Content, numbering and fingerprint are identical across
 // backends.
 func ParseWith(r io.Reader, cfg ParseConfig) (*Document, error) {
-	d, err := ParseOptions(r, cfg.KeepSpace)
-	if err != nil {
-		return nil, err
-	}
-	switch cfg.Backend {
-	case "", BackendPointer:
-		return d, nil
-	case BackendColumnar:
-		return Compact(d), nil
-	default:
-		return nil, fmt.Errorf("xmltree: unknown document backend %q", cfg.Backend)
-	}
+	return parseReader(r, cfg.KeepSpace, cfg.Backend)
 }
 
-// ParseOptions parses an XML document; keepSpace preserves whitespace-only
-// text nodes.
+// ParseOptions parses an XML document into the pointer backend;
+// keepSpace preserves whitespace-only text nodes.
 func ParseOptions(r io.Reader, keepSpace bool) (*Document, error) {
-	dec := xml.NewDecoder(r)
-	var stack []*Node
-	var top []*Node // children of the conceptual root
-	addNode := func(n *Node) {
-		if len(stack) == 0 {
-			top = append(top, n)
-		} else {
-			p := stack[len(stack)-1]
-			p.Children = append(p.Children, n)
-		}
-	}
-	seenElement := false
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if !validFlatName(t.Name.Local) {
-				return nil, fmt.Errorf("xmltree: parse: element name %q is not usable in the namespace-free data model (DESIGN.md §7)", t.Name.Local)
-			}
-			n := Elem(flatName(t.Name))
-			for _, a := range t.Attr {
-				// Drop namespace declarations: encoding/xml reports
-				// xmlns="u" with Local "xmlns" and xmlns:p="u" with
-				// Space "xmlns" (for any p, including ones that are not
-				// valid attribute names on their own).
-				if a.Name.Space == "xmlns" || (a.Name.Space == "" && a.Name.Local == "xmlns") {
-					continue
-				}
-				name := flatName(a.Name)
-				if strings.HasPrefix(name, "xmlns:") {
-					continue
-				}
-				if !validFlatName(name) {
-					return nil, fmt.Errorf("xmltree: parse: attribute name %q is not usable in the namespace-free data model (DESIGN.md §7)", name)
-				}
-				n.Attrs = append(n.Attrs, Attr(name, a.Value))
-			}
-			addNode(n)
-			stack = append(stack, n)
-			seenElement = true
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: parse: unbalanced end element %q", t.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			s := string(t)
-			if !keepSpace && strings.TrimSpace(s) == "" {
-				continue
-			}
-			if len(stack) == 0 {
-				// Character data outside the document element is
-				// insignificant whitespace per XML; skip it.
-				continue
-			}
-			// The XPath data model never has adjacent text siblings:
-			// coalesce runs of character data (they arise around ignored
-			// directives and entity boundaries).
-			p := stack[len(stack)-1]
-			if n := len(p.Children); n > 0 && p.Children[n-1].Type == TextNode {
-				p.Children[n-1].Data += s
-				continue
-			}
-			addNode(Text(s))
-		case xml.Comment:
-			addNode(Comment(string(t)))
-		case xml.ProcInst:
-			if t.Target == "xml" {
-				continue
-			}
-			addNode(ProcInst(t.Target, string(t.Inst)))
-		case xml.Directive:
-			// DOCTYPE etc.: ignored.
-		}
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: parse: %d unclosed element(s)", len(stack))
-	}
-	if !seenElement {
-		return nil, fmt.Errorf("xmltree: parse: document has no element")
-	}
-	return NewDocument(top...), nil
-}
-
-func flatName(n xml.Name) string {
-	// encoding/xml resolves prefixes to namespace URIs in n.Space; we keep
-	// only local names, which is the right granularity for a
-	// namespace-free XPath data model.
-	return n.Local
+	return parseReader(r, keepSpace, BackendPointer)
 }
 
 // validFlatName reports whether a local name stands on its own as an XML

@@ -163,16 +163,6 @@ func ValidBackend(name string) bool {
 // Backends lists the selectable storage backends.
 func Backends() []string { return []string{BackendPointer, BackendColumnar} }
 
-// columnarStore returns the document's backend if (and only if) it is
-// already a columnar store — without instantiating the pointer adapter
-// the way Store() would.
-func (d *Document) columnarStore() *Columnar {
-	d.storeMu.Lock()
-	defer d.storeMu.Unlock()
-	c, _ := d.storeV.(*Columnar)
-	return c
-}
-
 // StoreSizeBytes is the resident footprint of the document's storage
 // encoding at rest — what a registry pays to keep the content resident
 // without a hydrated view. For pointer-backed documents this is the
@@ -199,7 +189,9 @@ func (d *Document) ResidentBytes() int64 {
 type pointerStore struct {
 	doc *Document
 
-	once     sync.Once
+	once sync.Once
+	// tagOrds and attrOrds are filled by build, unless the parser
+	// seeded them from its scan.
 	tagOrds  map[string][]int32
 	attrOrds map[string][]int32
 	size     int64
@@ -264,11 +256,12 @@ func (p *pointerStore) SizeBytes() int64 {
 func (p *pointerStore) Document() *Document { return p.doc }
 
 // build fills the derived tables once: the per-tag/per-attribute ord
-// lists and the measured resident size of the pointer representation.
-// The size walk counts what the tree actually holds — Node structs,
-// slice backings, string payloads (duplicates included: the parser does
-// not intern), label maps and the Nodes slice — replacing the flat
-// per-node guess the registry used to make.
+// lists (unless seeded) and the measured resident size of the pointer
+// representation. The size walk counts what the tree holds — Node
+// structs, slice backings, string payloads (each node's name counted in
+// full, though a parsed tree shares one interned copy), label maps and
+// the Nodes slice — replacing the flat per-node guess the registry used
+// to make.
 func (p *pointerStore) build() {
 	p.once.Do(func() {
 		const (
@@ -277,23 +270,34 @@ func (p *pointerStore) build() {
 			labelEntry  = 48 // map bucket share + string header, coarse
 			sliceHeader = int64(unsafe.Sizeof([]*Node{}))
 		)
-		tags := make(map[string][]int32)
-		attrs := make(map[string][]int32)
+		seeded := p.tagOrds != nil
+		if !seeded {
+			p.tagOrds = make(map[string][]int32)
+			p.attrOrds = make(map[string][]int32)
+		}
 		size := sliceHeader + int64(cap(p.doc.Nodes))*ptrSize
 		for _, n := range p.doc.Nodes {
-			switch n.Type {
-			case ElementNode:
-				tags[n.Name] = append(tags[n.Name], int32(n.Ord))
-			case AttributeNode:
-				attrs[n.Name] = append(attrs[n.Name], int32(n.Ord))
+			if !seeded {
+				switch n.Type {
+				case ElementNode:
+					p.tagOrds[n.Name] = append(p.tagOrds[n.Name], int32(n.Ord))
+				case AttributeNode:
+					p.attrOrds[n.Name] = append(p.attrOrds[n.Name], int32(n.Ord))
+				}
 			}
 			size += nodeSize
 			size += int64(cap(n.Children))*ptrSize + int64(cap(n.Attrs))*ptrSize
 			size += int64(len(n.Name) + len(n.Data))
 			size += int64(len(n.labels)) * labelEntry
 		}
-		p.tagOrds, p.attrOrds, p.size = tags, attrs, size
+		p.size = size
 	})
+}
+
+// ordLists returns the store's per-tag and per-attribute ord lists.
+func (p *pointerStore) ordLists() (tags, attrs map[string][]int32) {
+	p.build()
+	return p.tagOrds, p.attrOrds
 }
 
 // subtreeOrdSpan computes the contiguous ord interval of a node's
