@@ -24,187 +24,6 @@ import (
 // fingerprintDocument walks. The encoding/xml parser survives in the
 // tests as the oracle the scanner is checked against.
 
-// flat is the structural core of a document: per-node arrays indexed by
-// document order (Node.Ord). The columnar backend stores one; the
-// scanner fills one.
-type flat struct {
-	// kind is the node kind per ord.
-	kind []NodeType
-	// label indexes the name table per ord (element tag, attribute name,
-	// PI target); -1 for root, text and comment nodes.
-	label []int32
-	// parent, firstChild and nextSibling are the structural links as
-	// ords, -1 when absent. Attribute entries carry parent only.
-	parent      []int32
-	firstChild  []int32
-	nextSibling []int32
-	// pre and post are the pre/post-order numbers (attributes share
-	// their owner's interval, as in the pointer tree).
-	pre, post []int32
-	// dataOff is the n+1 monotone offset table into the character-data
-	// blob: the data of ord i is blob[dataOff[i]:dataOff[i+1]].
-	dataOff []uint32
-}
-
-// newFlat allocates the arrays for n nodes: the six int32 arrays are
-// carved from one backing.
-func newFlat(n int) flat {
-	words := make([]int32, 6*n)
-	carve := func(i int) []int32 { return words[i*n : (i+1)*n : (i+1)*n] }
-	return flat{
-		kind:        make([]NodeType, n),
-		label:       carve(0),
-		parent:      carve(1),
-		firstChild:  carve(2),
-		nextSibling: carve(3),
-		pre:         carve(4),
-		post:        carve(5),
-		dataOff:     make([]uint32, n+1),
-	}
-}
-
-// copyFlat returns an exactly sized copy of the arrays.
-func (f *flat) copyFlat() flat {
-	c := newFlat(len(f.kind))
-	copy(c.kind, f.kind)
-	copy(c.label, f.label)
-	copy(c.parent, f.parent)
-	copy(c.firstChild, f.firstChild)
-	copy(c.nextSibling, f.nextSibling)
-	copy(c.pre, f.pre)
-	copy(c.post, f.post)
-	copy(c.dataOff, f.dataOff)
-	return c
-}
-
-// hydrate builds the node-handle view of the arrays: one contiguous
-// Node slab, child and attribute slices carved from two shared backings
-// (attributes sit at the ords right after their owner, children are
-// walked along the sibling links), name and data strings aliasing names
-// and blob. It returns the document and the number of child and
-// attribute slots it carved.
-func (f *flat) hydrate(blob string, names []string) (d *Document, nchild, nattr int) {
-	kind, label, parent := f.kind, f.label, f.parent
-	firstChild, nextSibling := f.firstChild, f.nextSibling
-	pre, post, dataOff := f.pre, f.post, f.dataOff
-	n := len(kind)
-	label, parent, firstChild, pre, post = label[:n], parent[:n], firstChild[:n], pre[:n], post[:n]
-	dataOff = dataOff[:n+1]
-	for _, k := range kind {
-		if k == AttributeNode {
-			nattr++
-		}
-	}
-	nchild = n - 1 - nattr // every node but the root and the attributes is a child
-	slab := make([]Node, n)
-	nodes := make([]*Node, n)
-	childBacking := make([]*Node, nchild)
-	attrBacking := make([]*Node, nattr)
-	d = &Document{Root: &slab[0], Nodes: nodes}
-	ci, ai := 0, 0
-	for ord := range slab {
-		m := &slab[ord]
-		nodes[ord] = m
-		k := kind[ord]
-		m.Type = k
-		if id := label[ord]; id >= 0 {
-			m.Name = names[id]
-		}
-		if lo, hi := dataOff[ord], dataOff[ord+1]; lo < hi {
-			m.Data = blob[lo:hi]
-		}
-		m.Pre = int(pre[ord])
-		m.Post = int(post[ord])
-		m.Ord = ord
-		m.doc = d
-		if p := parent[ord]; p >= 0 {
-			m.Parent = &slab[p]
-		}
-		if k == AttributeNode {
-			continue
-		}
-		if a := ord + 1; a < n && kind[a] == AttributeNode {
-			start := ai
-			for ; a < n && kind[a] == AttributeNode; a++ {
-				slab[a].SiblingIdx = ai - start
-				attrBacking[ai] = &slab[a]
-				ai++
-			}
-			m.Attrs = attrBacking[start:ai:ai]
-		}
-		if c := firstChild[ord]; c >= 0 {
-			start := ci
-			for ; c >= 0; c = nextSibling[c] {
-				slab[c].SiblingIdx = ci - start
-				childBacking[ci] = &slab[c]
-				ci++
-			}
-			m.Children = childBacking[start:ci:ci]
-		}
-	}
-	return d, nchild, nattr
-}
-
-// ordLists groups the element and attribute ords of the arrays by name,
-// in document order: the per-tag and per-attribute candidate lists
-// (DocStore.TagOrds, AttrOrds), carved from one shared backing.
-func (f *flat) ordLists(names []string) (tags, attrs map[string][]int32) {
-	// Slot id counts the elements named id, slot len(names)+id the
-	// attributes.
-	m := len(names)
-	count := make([]int, 2*m)
-	total, ntags, nattrs := 0, 0, 0
-	for ord, k := range f.kind {
-		slot := int(f.label[ord])
-		switch k {
-		case ElementNode:
-		case AttributeNode:
-			slot += m
-		default:
-			continue
-		}
-		if count[slot] == 0 {
-			if slot < m {
-				ntags++
-			} else {
-				nattrs++
-			}
-		}
-		count[slot]++
-		total++
-	}
-	lists := make([][]int32, 2*m)
-	backing := make([]int32, total)
-	off := 0
-	for slot, c := range count {
-		lists[slot] = backing[off : off : off+c]
-		off += c
-	}
-	for ord, k := range f.kind {
-		slot := int(f.label[ord])
-		switch k {
-		case ElementNode:
-		case AttributeNode:
-			slot += m
-		default:
-			continue
-		}
-		lists[slot] = append(lists[slot], int32(ord))
-	}
-	tags = make(map[string][]int32, ntags)
-	attrs = make(map[string][]int32, nattrs)
-	for slot, l := range lists {
-		switch {
-		case len(l) == 0:
-		case slot < m:
-			tags[names[slot]] = l
-		default:
-			attrs[names[slot-m]] = l
-		}
-	}
-	return tags, attrs
-}
-
 // Scanner limits: pooled scanners that grew past these are dropped
 // rather than kept for reuse.
 const (
