@@ -28,10 +28,6 @@
 //	     Figure-1 chain workloads (writes BENCH_ALLOC.json)
 //	cache result cache: warm uncached evaluation vs the cache-hit path
 //	     over the alloc workloads (writes BENCH_CACHE.json)
-//	serve xpathd serving benchmark: boot the daemon in-process, drive the
-//	     weighted XMark serving mix through sustained and saturation
-//	     phases, record qps / latency quantiles / shed rate
-//	     (writes BENCH_SERVE.json)
 //
 // Usage:
 //
@@ -80,7 +76,6 @@ var experiments = []experiment{
 	{"mix", "serving mix per family: bound engine, warm µs and allocs per eval on both backends (writes BENCH_MIX.json)", expMix},
 	{"cache", "result cache: warm uncached evaluation vs cache hit (writes BENCH_CACHE.json)", expCache},
 	{"obs2", "flight recorder overhead: disabled vs sampled-out vs capture-all (writes BENCH_OBS2.json)", expObs2},
-	{"serve", "xpathd under closed-loop load: qps, latency quantiles, shed rate (writes BENCH_SERVE.json)", expServe},
 	{"store", "document storage backends: pointer vs columnar footprint and warm-eval overhead (writes BENCH_STORE.json)", expStore},
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	xpath "xpathcomplexity"
+	"xpathcomplexity/internal/xmltree"
 )
 
 // errDocTooLarge rejects a document whose estimated footprint exceeds a
@@ -28,12 +29,12 @@ var errDocTooLarge = errors.New("document too large for the registry")
 // holding answers for documents the registry no longer serves.
 //
 // Byte accounting delegates to the document's storage backend
-// (DocStore.SizeBytes via Document.ResidentBytes), so eviction pressure
-// matches the real encoding rather than a per-node guess. Columnar-
-// backed documents additionally support demotion: under byte pressure
-// the shard first drops the cold entries' hydrated node-handle views —
-// keeping the compact store resident — and only evicts whole documents
-// when demotion alone cannot fit the budget. A demoted document
+// (Document.ResidentBytes), so eviction pressure matches the real
+// encoding rather than a per-node guess. Columnar-backed documents
+// additionally support demotion: under byte pressure the shard first
+// drops the cold entries' hydrated node-handle views — keeping the
+// compact store resident — and only evicts whole documents when
+// demotion alone cannot fit the budget. A demoted document
 // rehydrates transparently on its next Get with identical Ord
 // numbering, so fingerprint-keyed cache entries survive the round trip.
 type Registry struct {
@@ -57,16 +58,20 @@ type regShard struct {
 	demotions, rehydrations                         int64
 }
 
-// regEntry is one resident document: the storage backend (always
-// resident) plus the hydrated node-handle view (nil while demoted).
+// regEntry is one resident document: the hydrated node-handle view (nil
+// while demoted) and, for a columnar document, the store it is
+// rehydrated from.
 type regEntry struct {
-	doc    *xpath.Document // hydrated view; nil while demoted
-	store  xpath.DocStore
-	fp     uint64
-	bytes  int64 // current resident charge: store + view when hydrated
-	nodes  int
-	loaded time.Time
-	hits   int64
+	doc *xpath.Document // hydrated view; nil while demoted
+	// col is the columnar store behind doc, always resident; nil for a
+	// pointer document, whose view is its store and cannot be demoted.
+	col        *xmltree.Columnar
+	storeBytes int64 // the store's footprint at rest
+	fp         uint64
+	bytes      int64 // current resident charge: store + view when hydrated
+	nodes      int
+	loaded     time.Time
+	hits       int64
 }
 
 // DocInfo describes one resident document, as served by the list
@@ -198,10 +203,9 @@ func (r *Registry) Load(src io.Reader, backend string) (DocInfo, error) {
 // byte charge.
 func (r *Registry) Add(doc *xpath.Document) (DocInfo, error) {
 	fp := doc.Fingerprint()
-	store := doc.Store()
 	bytes := doc.ResidentBytes()
 	if bytes > r.maxBytes {
-		return DocInfo{}, fmt.Errorf("%w: %d resident bytes (%s backend) exceeds the shard budget (%d)", errDocTooLarge, bytes, store.Backend(), r.maxBytes)
+		return DocInfo{}, fmt.Errorf("%w: %d resident bytes (%s backend) exceeds the shard budget (%d)", errDocTooLarge, bytes, doc.Backend(), r.maxBytes)
 	}
 	// Build the index before publishing so concurrent first evals never
 	// duplicate the O(|D|) build.
@@ -216,7 +220,7 @@ func (r *Registry) Add(doc *xpath.Document) (DocInfo, error) {
 		s.mu.Unlock()
 		return info, nil
 	}
-	e := &regEntry{doc: doc, store: store, fp: fp, bytes: bytes, nodes: doc.Size(), loaded: time.Now()}
+	e := &regEntry{doc: doc, col: doc.Columnar(), storeBytes: doc.StoreSizeBytes(), fp: fp, bytes: bytes, nodes: doc.Size(), loaded: time.Now()}
 	el := s.order.PushFront(e)
 	s.docs[fp] = el
 	s.bytes += bytes
@@ -236,17 +240,13 @@ func (r *Registry) Add(doc *xpath.Document) (DocInfo, error) {
 func (s *regShard) fitLocked(maxBytes int64) []uint64 {
 	for el := s.order.Back(); s.bytes > maxBytes && el != nil && el != s.order.Front(); el = el.Prev() {
 		e := el.Value.(*regEntry)
-		if e.doc == nil {
-			continue
+		if e.doc == nil || e.col == nil {
+			continue // demoted already, or a pointer view that is its store
 		}
-		if e.store.Backend() == xpath.BackendPointer {
-			continue // the view is the store; nothing to drop short of eviction
-		}
-		storeOnly := e.store.SizeBytes()
-		if delta := e.bytes - storeOnly; delta > 0 {
-			// A separate hydrated view exists (columnar backend): drop it.
+		if delta := e.bytes - e.storeBytes; delta > 0 {
+			// Drop the hydrated view; the columnar store stays.
 			e.doc = nil
-			e.bytes = storeOnly
+			e.bytes = e.storeBytes
 			s.bytes -= delta
 			s.demotions++
 		}
@@ -284,7 +284,7 @@ func (r *Registry) Get(fp uint64) (*xpath.Document, bool) {
 		s.mu.Unlock()
 		return doc, true
 	}
-	doc = e.store.Document()
+	doc = e.col.Document()
 	doc.Index()
 	s.rehydrations++
 	s.bytes += doc.ResidentBytes() - e.bytes
@@ -382,10 +382,17 @@ func (e *regEntry) info() DocInfo {
 		Fingerprint: FormatFingerprint(e.fp),
 		Nodes:       e.nodes,
 		Bytes:       e.bytes,
-		Backend:     e.store.Backend(),
-		StoreBytes:  e.store.SizeBytes(),
+		Backend:     e.backend(),
+		StoreBytes:  e.storeBytes,
 		Hydrated:    e.doc != nil,
 		Hits:        e.hits,
 		LoadedUnix:  e.loaded.UnixNano(),
 	}
+}
+
+func (e *regEntry) backend() string {
+	if e.col != nil {
+		return xpath.BackendColumnar
+	}
+	return xpath.BackendPointer
 }

@@ -151,22 +151,6 @@ func ServeMix() []ServeQuery {
 	return mix
 }
 
-// PickServe draws one query from the weighted mix.
-func PickServe(rng *rand.Rand, mix []ServeQuery) Query {
-	total := 0
-	for _, q := range mix {
-		total += q.Weight
-	}
-	n := rng.Intn(total)
-	for _, q := range mix {
-		if n < q.Weight {
-			return q.Query
-		}
-		n -= q.Weight
-	}
-	return mix[len(mix)-1].Query
-}
-
 // Queries returns the workload query mix with expected classifications.
 func Queries() []Query {
 	return []Query{

@@ -68,11 +68,11 @@ func NewDocument(rootChildren ...*Node) *Document {
 // number assigns Parent, SiblingIdx, Ord, Pre and Post over the tree
 // under d.Root, depth-first with its own stack (depth costs no Go
 // stack). It is the single build entry point of the document model, so
-// it also drops any cached index, fingerprint and store.
+// it also drops any cached index, fingerprint and link core.
 func (d *Document) number() {
 	d.invalidateIndex()
 	d.invalidateFingerprint()
-	d.invalidateStore()
+	d.resetCore()
 	d.Nodes = d.Nodes[:0]
 	pre, post := 0, 0
 	type frame struct {

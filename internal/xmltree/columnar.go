@@ -16,11 +16,8 @@ type flat struct {
 	// label indexes the name table per ord (element tag, attribute name,
 	// PI target); -1 for root, text and comment nodes.
 	label []int32
-	// parent, firstChild and nextSibling are the structural links as
-	// ords, -1 when absent. Attribute entries carry parent only.
-	parent      []int32
-	firstChild  []int32
-	nextSibling []int32
+	// links are the parent, first-child and next-sibling links.
+	links
 	// pre and post are the pre/post-order numbers (attributes share
 	// their owner's interval, as in the pointer tree).
 	pre, post []int32
@@ -35,14 +32,12 @@ func newFlat(n int) flat {
 	words := make([]int32, 6*n)
 	carve := func(i int) []int32 { return words[i*n : (i+1)*n : (i+1)*n] }
 	return flat{
-		kind:        make([]NodeType, n),
-		label:       carve(0),
-		parent:      carve(1),
-		firstChild:  carve(2),
-		nextSibling: carve(3),
-		pre:         carve(4),
-		post:        carve(5),
-		dataOff:     make([]uint32, n+1),
+		kind:    make([]NodeType, n),
+		label:   carve(0),
+		links:   links{parent: carve(1), firstChild: carve(2), nextSibling: carve(3)},
+		pre:     carve(4),
+		post:    carve(5),
+		dataOff: make([]uint32, n+1),
 	}
 }
 
@@ -129,8 +124,8 @@ func (f *flat) hydrate(blob string, names []string) (d *Document, nchild, nattr 
 }
 
 // ordLists groups the element and attribute ords of the arrays by name,
-// in document order: the per-tag and per-attribute candidate lists
-// (DocStore.TagOrds, AttrOrds), carved from one shared backing.
+// in document order: the per-tag and per-attribute candidate lists of
+// the link core, carved from one shared backing.
 func (f *flat) ordLists(names []string) (tags, attrs map[string][]int32) {
 	// Slot id counts the elements named id, slot len(names)+id the
 	// attributes.
@@ -223,14 +218,16 @@ type Columnar struct {
 	// documents only; empty for parsed XML).
 	extraLabels map[int32][]string
 	// fp is the content fingerprint, computed from the source tree at
-	// conversion so cold stores answer Fingerprint without hydrating.
+	// conversion; every hydrated view is primed with it.
 	fp uint64
 }
 
-// NewColumnar converts a finalized document to the columnar encoding in
-// one pass over its node list. The source document is not retained: a
-// caller that converts a freshly parsed tree and keeps only the hydrated
-// view lets the parse-time pointer tree go to the collector.
+// NewColumnar converts a finalized document to the columnar encoding:
+// one pass over its node list fills the per-node arrays, and the links
+// come from treeLinks, the walk a tree-built document's index uses. The
+// source document is not retained: a caller that converts a freshly
+// parsed tree and keeps only the hydrated view lets the parse-time
+// pointer tree go to the collector.
 func NewColumnar(d *Document) *Columnar {
 	n := len(d.Nodes)
 	if n > math.MaxInt32 {
@@ -256,20 +253,6 @@ func NewColumnar(d *Document) *Columnar {
 		if m.Name != "" || m.Type == ElementNode || m.Type == AttributeNode {
 			c.label[ord] = internName(m.Name)
 		}
-		c.parent[ord] = -1
-		if m.Parent != nil {
-			c.parent[ord] = int32(m.Parent.Ord)
-		}
-		c.firstChild[ord] = -1
-		c.nextSibling[ord] = -1
-		if m.Type != AttributeNode {
-			if len(m.Children) > 0 {
-				c.firstChild[ord] = int32(m.Children[0].Ord)
-			}
-			if s := m.NextSibling(); s != nil {
-				c.nextSibling[ord] = int32(s.Ord)
-			}
-		}
 		c.dataOff[ord] = uint32(blob.Len())
 		blob.WriteString(m.Data)
 		if ls := m.Labels(); len(ls) > 0 {
@@ -281,68 +264,13 @@ func NewColumnar(d *Document) *Columnar {
 	}
 	c.dataOff[n] = uint32(blob.Len())
 	c.blob = blob.String()
+	treeLinks(d.Nodes, c.links)
 	c.tagOrds, c.attrOrds = c.ordLists(c.names)
 	return c
 }
 
-// Backend implements DocStore.
-func (c *Columnar) Backend() string { return BackendColumnar }
-
-// NumNodes implements DocStore.
-func (c *Columnar) NumNodes() int { return len(c.kind) }
-
-// Kind implements DocStore.
-func (c *Columnar) Kind(ord int) NodeType { return c.kind[ord] }
-
-// Name implements DocStore.
-func (c *Columnar) Name(ord int) string {
-	if id := c.label[ord]; id >= 0 {
-		return c.names[id]
-	}
-	return ""
-}
-
-// Data implements DocStore.
-func (c *Columnar) Data(ord int) string {
-	return c.blob[c.dataOff[ord]:c.dataOff[ord+1]]
-}
-
-// Labels implements DocStore.
-func (c *Columnar) Labels(ord int) []string { return c.extraLabels[int32(ord)] }
-
-// ParentOrd implements DocStore.
-func (c *Columnar) ParentOrd(ord int) int { return int(c.parent[ord]) }
-
-// FirstChildOrd implements DocStore.
-func (c *Columnar) FirstChildOrd(ord int) int { return int(c.firstChild[ord]) }
-
-// NextSiblingOrd implements DocStore.
-func (c *Columnar) NextSiblingOrd(ord int) int { return int(c.nextSibling[ord]) }
-
-// Pre implements DocStore.
-func (c *Columnar) Pre(ord int) int { return int(c.pre[ord]) }
-
-// Post implements DocStore.
-func (c *Columnar) Post(ord int) int { return int(c.post[ord]) }
-
-// TagOrds implements DocStore.
-func (c *Columnar) TagOrds(tag string) []int32 { return c.tagOrds[tag] }
-
-// AttrOrds implements DocStore.
-func (c *Columnar) AttrOrds(name string) []int32 { return c.attrOrds[name] }
-
-// SubtreeOrdSpan implements DocStore.
-func (c *Columnar) SubtreeOrdSpan(ord int) (int, int) { return subtreeOrdSpan(c, ord) }
-
-// Fingerprint implements DocStore: the content hash computed at
-// conversion, byte-identical to the pointer tree's for the same content.
-func (c *Columnar) Fingerprint() uint64 { return c.fp }
-
-// Tags returns the element tag alphabet in sorted order.
-func (c *Columnar) Tags() []string { return sortedKeys(c.tagOrds) }
-
-// SizeBytes implements DocStore: the exact array, table and blob
-// footprint of the encoding at rest (no hydrated view included).
+// SizeBytes is the exact array, table and blob footprint of the
+// encoding at rest (no hydrated view included).
 func (c *Columnar) SizeBytes() int64 {
 	const (
 		sliceHeader = int64(unsafe.Sizeof([]int32{}))
@@ -375,8 +303,7 @@ func (c *Columnar) SizeBytes() int64 {
 	return size
 }
 
-// Document implements DocStore: it hydrates a node-handle view of the
-// store — one contiguous Node slab, child and attribute slices carved
+// Document hydrates a node-handle view of the store — one contiguous Node slab, child and attribute slices carved
 // from two shared backing arrays, name and data strings aliasing the
 // interned tables (no character copied). Numbering (Ord, Pre, Post,
 // SiblingIdx) is read straight from the arrays, so every hydration of
@@ -391,11 +318,15 @@ func (c *Columnar) Document() *Document {
 			m.labels[l] = true
 		}
 	}
-	// Prime the fingerprint from the store and install the backend: the
-	// view never recomputes what the encoding already knows.
+	// Prime the fingerprint from the store and lend the view the
+	// store's link core: the view never recomputes what the encoding
+	// already knows.
 	d.fp.Store(c.fp)
 	d.fpSet.Store(true)
-	d.setStore(c, c.viewBytes(len(c.kind), nchild, nattr))
+	d.links = c.links
+	d.tagOrds, d.attrOrds = c.tagOrds, c.attrOrds
+	d.col = c
+	d.viewBytes = c.viewBytes(len(c.kind), nchild, nattr)
 	return d
 }
 
@@ -417,7 +348,7 @@ func (c *Columnar) viewBytes(n, totChild, totAttr int) int64 {
 // hydrated view of a fresh conversion. Content, numbering and
 // fingerprint are identical; only the storage encoding changes.
 func Compact(d *Document) *Document {
-	if d.Backend() == BackendColumnar {
+	if d.col != nil {
 		return d
 	}
 	return NewColumnar(d).Document()

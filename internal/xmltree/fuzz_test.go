@@ -12,20 +12,11 @@ import (
 // encoding/xml oracle: for every input, with whitespace kept and
 // dropped, both accept or both reject, and an accepted input gives
 // both backends the oracle's node list (kind, name, data, parent,
-// pre/post, sibling index) and fingerprint. Accepted documents must
-// also serialize to XML that re-parses with identical structure, and
-// satisfy the pre/post interval invariants.
+// pre/post, sibling index), fingerprint and index. Accepted documents
+// must also serialize to XML that re-parses with identical structure,
+// and satisfy the pre/post interval invariants.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"<a/>", "<a><b x=\"1\">hi</b></a>", "<a>&lt;&amp;</a>",
-		"<a><!--c--><?pi d?></a>", "<a xmlns:n=\"u\"><n:b/></a>",
-		"<a>", "</a>", "text", "<a b=></a>", "<a><b></a></b>",
-		"<a>\xff</a>", strings.Repeat("<a>", 40) + strings.Repeat("</a>", 40),
-	}
-	for _, q := range parseQuirks {
-		seeds = append(seeds, q.src)
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzParseSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -91,8 +82,22 @@ func checkAgainstOracle(t *testing.T, src string, keepSpace bool) {
 	}
 }
 
+// fuzzParseSeeds is FuzzParse's seed corpus.
+func fuzzParseSeeds() []string {
+	seeds := []string{
+		"<a/>", "<a><b x=\"1\">hi</b></a>", "<a>&lt;&amp;</a>",
+		"<a><!--c--><?pi d?></a>", "<a xmlns:n=\"u\"><n:b/></a>",
+		"<a>", "</a>", "text", "<a b=></a>", "<a><b></a></b>",
+		"<a>\xff</a>", strings.Repeat("<a>", 40) + strings.Repeat("</a>", 40),
+	}
+	for _, q := range parseQuirks {
+		seeds = append(seeds, q.src)
+	}
+	return seeds
+}
+
 // diffDocuments describes the first difference between the node lists,
-// fingerprints and per-name ord lists of two documents, or returns "".
+// fingerprints and indexes of two documents, or returns "".
 func diffDocuments(got, want *Document) string {
 	if len(got.Nodes) != len(want.Nodes) {
 		return fmt.Sprintf("%d nodes, oracle %d", len(got.Nodes), len(want.Nodes))
@@ -117,20 +122,8 @@ func diffDocuments(got, want *Document) string {
 	if got.Fingerprint() != want.Fingerprint() {
 		return "fingerprint differs from the oracle's"
 	}
-	gs, ws := got.Store(), want.Store()
-	for _, n := range want.Nodes {
-		var g, w []int32
-		switch n.Type {
-		case ElementNode:
-			g, w = gs.TagOrds(n.Name), ws.TagOrds(n.Name)
-		case AttributeNode:
-			g, w = gs.AttrOrds(n.Name), ws.AttrOrds(n.Name)
-		default:
-			continue
-		}
-		if fmt.Sprint(g) != fmt.Sprint(w) {
-			return fmt.Sprintf("ord list of %q: %v, oracle %v", n.Name, g, w)
-		}
+	if msg := diffIndexes(got.Index(), want.Index()); msg != "" {
+		return "index: " + msg
 	}
 	return ""
 }

@@ -1,7 +1,6 @@
 package xmltree
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -9,12 +8,12 @@ import (
 )
 
 // Index is the precomputed access-path layer of a document: per-tag node
-// lists, per-kind node lists, and flat first-child/next-sibling/parent
-// arrays in document order. Together with the pre/post numbering already
-// carried by every node it turns the axis evaluations of the engines from
-// tree walks into list slices and binary searches (the SXSI/"whole query
-// optimization" direction: the paper settles the asymptotics, the index
-// buys the constant factors).
+// lists, per-kind node lists, and the flat first-child/next-sibling/
+// parent arrays of the document's link core. Together with the pre/post
+// numbering already carried by every node it turns the axis evaluations
+// of the engines from tree walks into list slices and binary searches
+// (the SXSI/"whole query optimization" direction: the paper settles the
+// asymptotics, the index buys the constant factors).
 //
 // An Index is immutable once built and is shared freely across
 // goroutines. It is built lazily behind Document.Index and cached on the
@@ -38,19 +37,16 @@ type Index struct {
 	procInsts []*Node
 	treeNodes []*Node
 
-	// firstChild, nextSibling and parent are flat arrays indexed by
-	// Node.Ord holding the Ord of the respective neighbour, or -1. They
-	// cover tree nodes only; attribute entries are -1 (parent excepted).
-	// isAttr flags attribute nodes by Ord. Together these four arrays let
-	// the dense set operations of package nodeset run over contiguous
-	// memory instead of chasing Node pointers.
-	firstChild  []int32
-	nextSibling []int32
-	parent      []int32
-	isAttr      []bool
-	// attrMask is isAttr word-packed (bit Ord%64 of word Ord/64), the
-	// layout of package nodeset's bitsets, so attribute filtering runs
-	// word-parallel.
+	// links are the document's first-child, next-sibling and parent
+	// arrays, indexed by Node.Ord and holding the Ord of the respective
+	// neighbour, or -1; attribute entries carry parent only. Shared
+	// with the document's link core, never copied. With attrMask they
+	// let the dense set operations of package nodeset run over
+	// contiguous memory instead of chasing Node pointers.
+	links
+	// attrMask flags attribute nodes by Ord, word-packed (bit Ord%64 of
+	// word Ord/64) in the layout of package nodeset's bitsets, so
+	// attribute filtering runs word-parallel.
 	attrMask []uint64
 
 	// words holds the node-test membership bitsets package nodeset
@@ -119,28 +115,28 @@ func (d *Document) invalidateIndex() {
 	d.idxMu.Unlock()
 }
 
+// buildIndex builds the index over the document's link core: the links
+// are aliased, not copied, and the per-name ord lists become node
+// lists. A tree-built document fills its core first, from one walk.
 func buildIndex(d *Document) *Index {
 	n := len(d.Nodes)
+	if d.parent == nil {
+		d.links = newLinks(n)
+		treeLinks(d.Nodes, d.links)
+		d.tagOrds, d.attrOrds = treeOrdLists(d.Nodes)
+	}
 	ix := &Index{
 		doc:      d,
-		isAttr:   make([]bool, n),
+		links:    d.links,
 		attrMask: make([]uint64, (n+63)>>6),
 	}
-	// The per-name lists come from the store's ord lists; a columnar
-	// store also lends its structural arrays, zero-copy (both sides treat
-	// them as immutable).
-	var tags, attrs map[string][]int32
-	switch s := d.Store().(type) {
-	case *Columnar:
-		tags, attrs = s.tagOrds, s.attrOrds
-		ix.firstChild, ix.nextSibling, ix.parent = s.firstChild, s.nextSibling, s.parent
-	case *pointerStore:
-		tags, attrs = s.ordLists()
-	default:
-		panic(fmt.Sprintf("xmltree: no index for the %s backend", s.Backend()))
+	ix.elemsByTag = nodeLists(d, d.tagOrds)
+	ix.attrsByName = nodeLists(d, d.attrOrds)
+	if d.col == nil {
+		// The node lists hold what the ord lists did; only a columnar
+		// store keeps its ord lists, for the next hydration.
+		d.tagOrds, d.attrOrds = nil, nil
 	}
-	ix.elemsByTag = nodeLists(d, tags)
-	ix.attrsByName = nodeLists(d, attrs)
 
 	var nelem, ntext, ncomment, npi, ntree int
 	for _, m := range d.Nodes {
@@ -163,26 +159,13 @@ func buildIndex(d *Document) *Index {
 	ix.comments = make([]*Node, 0, ncomment)
 	ix.procInsts = make([]*Node, 0, npi)
 	ix.treeNodes = make([]*Node, 0, ntree)
-	flat := ix.firstChild == nil
-	if flat {
-		ix.firstChild = make([]int32, n)
-		ix.nextSibling = make([]int32, n)
-		ix.parent = make([]int32, n)
-	}
 	for _, m := range d.Nodes {
-		if flat {
-			ix.firstChild[m.Ord], ix.nextSibling[m.Ord], ix.parent[m.Ord] = -1, -1, -1
-			if m.Parent != nil {
-				ix.parent[m.Ord] = int32(m.Parent.Ord)
-			}
-		}
 		switch m.Type {
 		case ElementNode:
 			ix.elements = append(ix.elements, m)
 		case AttributeNode:
-			ix.isAttr[m.Ord] = true
 			ix.attrMask[m.Ord>>6] |= 1 << (uint(m.Ord) & 63)
-			continue // attributes have no child/sibling entries
+			continue
 		case TextNode:
 			ix.texts = append(ix.texts, m)
 		case CommentNode:
@@ -191,14 +174,6 @@ func buildIndex(d *Document) *Index {
 			ix.procInsts = append(ix.procInsts, m)
 		}
 		ix.treeNodes = append(ix.treeNodes, m)
-		if flat {
-			if len(m.Children) > 0 {
-				ix.firstChild[m.Ord] = int32(m.Children[0].Ord)
-			}
-			if s := m.NextSibling(); s != nil {
-				ix.nextSibling[m.Ord] = int32(s.Ord)
-			}
-		}
 	}
 	return ix
 }
@@ -250,28 +225,6 @@ func (ix *Index) ProcInsts() []*Node { return ix.procInsts }
 // slice): the candidate list of the node() test on the tree axes.
 func (ix *Index) TreeNodes() []*Node { return ix.treeNodes }
 
-// Tags returns the element tag alphabet of the document in sorted order.
-func (ix *Index) Tags() []string {
-	out := make([]string, 0, len(ix.elemsByTag))
-	for t := range ix.elemsByTag {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FirstChildOrd returns the Ord of the first child of the node with the
-// given Ord, or -1.
-func (ix *Index) FirstChildOrd(ord int) int { return int(ix.firstChild[ord]) }
-
-// NextSiblingOrd returns the Ord of the next sibling of the node with
-// the given Ord, or -1.
-func (ix *Index) NextSiblingOrd(ord int) int { return int(ix.nextSibling[ord]) }
-
-// ParentOrd returns the Ord of the parent of the node with the given
-// Ord, or -1 for the conceptual root.
-func (ix *Index) ParentOrd(ord int) int { return int(ix.parent[ord]) }
-
 // ParentOrds returns the flat parent array indexed by Ord (-1 = no
 // parent). Shared storage; read-only.
 func (ix *Index) ParentOrds() []int32 { return ix.parent }
@@ -285,10 +238,6 @@ func (ix *Index) FirstChildOrds() []int32 { return ix.firstChild }
 // (-1 = last sibling; attribute entries are -1). Shared storage;
 // read-only.
 func (ix *Index) NextSiblingOrds() []int32 { return ix.nextSibling }
-
-// AttrBits returns the attribute-membership array indexed by Ord.
-// Shared storage; read-only.
-func (ix *Index) AttrBits() []bool { return ix.isAttr }
 
 // AttrMask returns the attribute membership as a word-packed bitset
 // (bit Ord%64 of word Ord/64), matching the layout of package nodeset.

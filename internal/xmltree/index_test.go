@@ -1,17 +1,23 @@
-package xmltree
+package xmltree_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+
+	"xpathcomplexity/internal/eval/enginetest"
+	"xpathcomplexity/internal/xmltree"
 )
 
 // randomIndexedDoc builds a random document with some text, attribute,
 // comment and PI variety for index testing.
-func randomIndexedDoc(t *testing.T, seed int64, nodes int) *Document {
+func randomIndexedDoc(t *testing.T, seed int64, nodes int) *xmltree.Document {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	d := RandomDocument(rng, GenConfig{
+	d := xmltree.RandomDocument(rng, xmltree.GenConfig{
 		Nodes: nodes, MaxFanout: 4, Tags: []string{"a", "b", "c", "d"},
 		TextProb: 0.3, AttrProb: 0.3,
 	})
@@ -24,7 +30,7 @@ func randomIndexedDoc(t *testing.T, seed int64, nodes int) *Document {
 func TestIndexPrePostAgreesWithWalks(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		d := randomIndexedDoc(t, seed, 120)
-		chainAncestor := func(a, m *Node) bool {
+		chainAncestor := func(a, m *xmltree.Node) bool {
 			for p := m.Parent; p != nil; p = p.Parent {
 				if p == a {
 					return true
@@ -43,7 +49,7 @@ func TestIndexPrePostAgreesWithWalks(t *testing.T) {
 		}
 		// Ord agrees with pre-order Walk position (attributes after owner).
 		i := 0
-		d.Root.Walk(func(n *Node) bool {
+		d.Root.Walk(func(n *xmltree.Node) bool {
 			if n.Ord != i {
 				t.Fatalf("seed %d: walk position %d has Ord %d", seed, i, n.Ord)
 			}
@@ -58,21 +64,21 @@ func TestIndexListsAgreeWithFullScan(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		d := randomIndexedDoc(t, seed, 150)
 		ix := d.Index()
-		byTag := map[string][]*Node{}
-		byAttr := map[string][]*Node{}
-		var elements, texts []*Node
+		byTag := map[string][]*xmltree.Node{}
+		byAttr := map[string][]*xmltree.Node{}
+		var elements, texts []*xmltree.Node
 		for _, n := range d.Nodes {
 			switch n.Type {
-			case ElementNode:
+			case xmltree.ElementNode:
 				byTag[n.Name] = append(byTag[n.Name], n)
 				elements = append(elements, n)
-			case AttributeNode:
+			case xmltree.AttributeNode:
 				byAttr[n.Name] = append(byAttr[n.Name], n)
-			case TextNode:
+			case xmltree.TextNode:
 				texts = append(texts, n)
 			}
 		}
-		sameNodes := func(what string, got, want []*Node) {
+		sameNodes := func(what string, got, want []*xmltree.Node) {
 			t.Helper()
 			if len(got) != len(want) {
 				t.Fatalf("seed %d: %s: %d nodes, scan found %d", seed, what, len(got), len(want))
@@ -98,38 +104,91 @@ func TestIndexListsAgreeWithFullScan(t *testing.T) {
 	}
 }
 
-// Metamorphic: the flat first-child/next-sibling/parent arrays must
-// mirror the pointer structure node by node.
+// Metamorphic: every route into the link core builds the same index.
+// Each document is indexed four ways — pointer parse, columnar parse,
+// tree-built Copy and its Compact conversion — over the conformance
+// corpus, the FuzzParse seeds and the storage suite's documents, and
+// all four must agree on the link arrays, the attribute mask and every
+// per-tag, per-attribute and per-kind list; the links must also mirror
+// each view's own pointer structure node by node.
 func TestIndexFlatArraysMirrorPointers(t *testing.T) {
-	d := randomIndexedDoc(t, 42, 200)
-	ix := d.Index()
-	for _, n := range d.Nodes {
-		if n.Type == AttributeNode {
-			if got := ix.ParentOrd(n.Ord); got != n.Parent.Ord {
-				t.Fatalf("attr #%d: ParentOrd = %d, want %d", n.Ord, got, n.Parent.Ord)
+	sources := map[string]*xmltree.Document{}
+	for name, src := range enginetest.Docs {
+		sources["corpus/"+name] = parseBackend(t, src, xmltree.BackendPointer)
+	}
+	for i, src := range xmltree.FuzzParseSeeds() {
+		if d, err := xmltree.ParseString(src); err == nil {
+			sources[fmt.Sprintf("fuzz/%d", i)] = d
+		}
+	}
+	for name, d := range xmltree.StoreTestDocs(t) {
+		sources["store/"+name] = d
+	}
+	sources["random"] = randomIndexedDoc(t, 42, 200)
+	for name, d := range sources {
+		t.Run(name, func(t *testing.T) {
+			ways := map[string]*xmltree.Document{
+				"copy":    d.Copy(),
+				"compact": xmltree.Compact(d.Copy()),
 			}
-			continue
+			// Extra labels do not survive serialization, so a labeled
+			// document has no parse arms.
+			if !hasLabels(d) {
+				src := d.XMLString()
+				ways["pointer"] = parseBackend(t, src, xmltree.BackendPointer)
+				ways["columnar"] = parseBackend(t, src, xmltree.BackendColumnar)
+			}
+			want := ways["copy"].Index()
+			for way, w := range ways {
+				if msg := xmltree.DiffIndexes(w.Index(), want); msg != "" {
+					t.Fatalf("%s: %s", way, msg)
+				}
+				checkLinksMirrorPointers(t, way, w)
+			}
+		})
+	}
+}
+
+func parseBackend(t *testing.T, src, backend string) *xmltree.Document {
+	t.Helper()
+	d, err := xmltree.ParseWith(strings.NewReader(src), xmltree.ParseConfig{Backend: backend})
+	if err != nil {
+		t.Fatalf("%s parse of %q: %v", backend, src, err)
+	}
+	return d
+}
+
+func hasLabels(d *xmltree.Document) bool {
+	for _, n := range d.Nodes {
+		if len(n.Labels()) > 0 {
+			return true
 		}
-		wantFC := -1
-		if len(n.Children) > 0 {
-			wantFC = n.Children[0].Ord
-		}
-		if got := ix.FirstChildOrd(n.Ord); got != wantFC {
-			t.Fatalf("#%d: FirstChildOrd = %d, want %d", n.Ord, got, wantFC)
-		}
-		wantNS := -1
-		if s := n.NextSibling(); s != nil {
-			wantNS = s.Ord
-		}
-		if got := ix.NextSiblingOrd(n.Ord); got != wantNS {
-			t.Fatalf("#%d: NextSiblingOrd = %d, want %d", n.Ord, got, wantNS)
-		}
-		wantP := -1
+	}
+	return false
+}
+
+// checkLinksMirrorPointers asserts the index's link arrays against the
+// document's node graph.
+func checkLinksMirrorPointers(t *testing.T, way string, d *xmltree.Document) {
+	t.Helper()
+	ix := d.Index()
+	parent, firstChild, nextSibling := ix.ParentOrds(), ix.FirstChildOrds(), ix.NextSiblingOrds()
+	for _, n := range d.Nodes {
+		wantP, wantFC, wantNS := -1, -1, -1
 		if n.Parent != nil {
 			wantP = n.Parent.Ord
 		}
-		if got := ix.ParentOrd(n.Ord); got != wantP {
-			t.Fatalf("#%d: ParentOrd = %d, want %d", n.Ord, got, wantP)
+		if n.Type != xmltree.AttributeNode {
+			if len(n.Children) > 0 {
+				wantFC = n.Children[0].Ord
+			}
+			if s := n.NextSibling(); s != nil {
+				wantNS = s.Ord
+			}
+		}
+		if int(parent[n.Ord]) != wantP || int(firstChild[n.Ord]) != wantFC || int(nextSibling[n.Ord]) != wantNS {
+			t.Fatalf("%s: #%d links (parent %d, first child %d, next sibling %d), want (%d, %d, %d)",
+				way, n.Ord, parent[n.Ord], firstChild[n.Ord], nextSibling[n.Ord], wantP, wantFC, wantNS)
 		}
 	}
 }
@@ -141,28 +200,34 @@ func TestIndexSlicesAgreeWithNaiveDefinitions(t *testing.T) {
 	for seed := int64(3); seed <= 6; seed++ {
 		d := randomIndexedDoc(t, seed, 100)
 		ix := d.Index()
-		for _, tag := range append(ix.Tags(), "zz") {
+		tags := []string{"zz"}
+		for _, n := range d.Nodes {
+			if n.Type == xmltree.ElementNode && !slices.Contains(tags, n.Name) {
+				tags = append(tags, n.Name)
+			}
+		}
+		for _, tag := range tags {
 			list := ix.ElementsByTag(tag)
 			for _, n := range d.Nodes {
-				var wantDesc, wantFoll, wantPrec []*Node
+				var wantDesc, wantFoll, wantPrec []*xmltree.Node
 				anchor := n
-				if n.Type == AttributeNode {
+				if n.Type == xmltree.AttributeNode {
 					anchor = n.Parent
 				}
 				for _, m := range list {
 					switch {
-					case n.Type != AttributeNode && n.IsAncestorOf(m):
+					case n.Type != xmltree.AttributeNode && n.IsAncestorOf(m):
 						wantDesc = append(wantDesc, m)
-					case n.Type == AttributeNode && m.Ord > n.Ord:
+					case n.Type == xmltree.AttributeNode && m.Ord > n.Ord:
 						wantFoll = append(wantFoll, m)
-					case n.Type != AttributeNode && m.Pre > n.Pre && !n.IsAncestorOf(m):
+					case n.Type != xmltree.AttributeNode && m.Pre > n.Pre && !n.IsAncestorOf(m):
 						wantFoll = append(wantFoll, m)
 					}
 					if m.Pre < anchor.Pre && !m.IsAncestorOf(anchor) && m != anchor {
 						wantPrec = append(wantPrec, m)
 					}
 				}
-				check := func(what string, got, want []*Node) {
+				check := func(what string, got, want []*xmltree.Node) {
 					t.Helper()
 					if len(got) != len(want) {
 						t.Fatalf("seed %d tag %s ctx #%d: %s: got %d, want %d",
@@ -174,10 +239,10 @@ func TestIndexSlicesAgreeWithNaiveDefinitions(t *testing.T) {
 						}
 					}
 				}
-				check("subtree", SubtreeSlice(list, n), wantDesc)
-				check("following", FollowingSlice(list, n), wantFoll)
+				check("subtree", xmltree.SubtreeSlice(list, n), wantDesc)
+				check("following", xmltree.FollowingSlice(list, n), wantFoll)
 				if anchor != nil {
-					check("preceding", PrecedingScan(nil, list, n), wantPrec)
+					check("preceding", xmltree.PrecedingScan(nil, list, n), wantPrec)
 				}
 			}
 		}
@@ -190,7 +255,7 @@ func TestIndexSlicesAgreeWithNaiveDefinitions(t *testing.T) {
 func TestIndexConcurrentFirstBuildAndInvalidation(t *testing.T) {
 	d := randomIndexedDoc(t, 9, 300)
 	const goroutines = 16
-	got := make([]*Index, goroutines)
+	got := make([]*xmltree.Index, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -224,7 +289,7 @@ func TestIndexConcurrentFirstBuildAndInvalidation(t *testing.T) {
 func TestIndexTestWordsCache(t *testing.T) {
 	d := randomIndexedDoc(t, 10, 50)
 	ix := d.Index()
-	k := TestKey{Principal: ElementNode, Name: "a"}
+	k := xmltree.TestKey{Principal: xmltree.ElementNode, Name: "a"}
 	v1 := ix.TestWords(k, func() []uint64 { return []uint64{1} })
 	v2 := ix.TestWords(k, func() []uint64 { t.Fatal("built twice"); return nil })
 	if &v1[0] != &v2[0] {
@@ -232,7 +297,7 @@ func TestIndexTestWordsCache(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	vals := make([][]uint64, 32)
-	k2 := TestKey{Principal: AttributeNode, Name: "a"}
+	k2 := xmltree.TestKey{Principal: xmltree.AttributeNode, Name: "a"}
 	for g := range vals {
 		wg.Add(1)
 		go func(g int) {

@@ -108,7 +108,7 @@ type Document struct {
 
 	indexCache
 	fpCache
-	storeCache
+	core
 }
 
 // Document returns the document the node belongs to.

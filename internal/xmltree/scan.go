@@ -1113,6 +1113,8 @@ func (s *scanner) document(backend string) (*Document, error) {
 	d, _, _ := s.hydrate(blob, names)
 	d.fp.Store(s.fp)
 	d.fpSet.Store(true)
-	d.setStore(&pointerStore{doc: d, tagOrds: tags, attrOrds: attrs}, 0)
+	// The scan's arrays are pooled: the link core gets its own copy.
+	d.links = s.links.clone()
+	d.tagOrds, d.attrOrds = tags, attrs
 	return d, nil
 }

@@ -71,15 +71,16 @@ func writeNode(w io.Writer, n *Node) error {
 	}
 }
 
-func escapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+// The escapers are built once: a Replacer is safe for concurrent use,
+// and one with nothing to replace returns its input without allocating.
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
+)
 
-func escapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+func escapeText(s string) string { return textEscaper.Replace(s) }
+
+func escapeAttr(s string) string { return attrEscaper.Replace(s) }
 
 // ParseLabels restores extra labels from synthetic "labels" attributes
 // produced by WriteXML, removing those attributes. It returns a freshly

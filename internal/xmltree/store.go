@@ -1,30 +1,35 @@
-// Document storage backends. The engines' complexity bounds (Theorems
-// 5.1/6.6 of the paper) assume only O(1) access to structure — parent,
-// first-child, next-sibling, node kind and label, pre/post order — never
-// a particular in-memory representation. DocStore captures exactly that
-// access surface, which makes the representation a swappable layer: the
-// classic pointer tree (this package's Node graph) and the columnar
-// struct-of-arrays encoding (columnar.go) both implement it, and a
-// grammar-compressed or succinct backend can slot in behind the same
-// interface (see docs/STORAGE.md and the SXSI line of work in PAPERS.md).
+// Document storage. The engines' complexity bounds (Theorems 5.1/6.6 of
+// the paper) assume only O(1) access to structure — parent, first-child,
+// next-sibling, node kind and label, pre/post order — never a particular
+// in-memory representation. Every Document therefore carries one link
+// core: the parent, first-child and next-sibling links as flat int32
+// arrays indexed by Node.Ord, plus the per-name element and attribute
+// ord lists. The document index reads that core whatever the backend,
+// and it is filled by one of three routes:
+//
+//   - a pointer parse copies the scan's link arrays at their exact size
+//     and seeds the ord lists from the scan;
+//   - a columnar view (Columnar.Document) lends its store's arrays and
+//     ord lists;
+//   - a tree-built document (NewDocument, Copy) fills them from one walk
+//     of the tree (treeLinks, which NewColumnar shares) when its index
+//     is first built.
 //
 // The evaluation engines keep *Node as their node handle: it is the
 // public result type and the zero-indirection representation the hot
-// loops were tuned on (docs/PERFORMANCE.md). A backend therefore has two
-// jobs: hold the document's structural truth in its own encoding, and
-// materialize ("hydrate") a *Document node-handle view on demand. For
-// the pointer backend the view is the truth, so hydration is free and
-// demotion is impossible; for the columnar backend the view is a single
-// compact slab rebuilt from the arrays, so a resident document can be
-// demoted to its store-only form (the xpathd registry does this under
-// memory pressure) and rehydrated later with identical Ord numbering —
-// which is what keeps fingerprint-keyed caches valid across the round
-// trip.
+// loops were tuned on (docs/PERFORMANCE.md). The two backends differ in
+// what stays resident besides it. For the pointer backend the node graph
+// is the document, so it cannot be demoted, only evicted. The columnar
+// backend keeps its structural truth in flat arrays (columnar.go) and
+// hydrates the node graph from them as a single compact slab, so a
+// resident document can be demoted to its arrays (the xpathd registry
+// does this under memory pressure) and rehydrated later with identical
+// Ord numbering — which is what keeps fingerprint-keyed caches valid
+// across the round trip. See docs/STORAGE.md.
 package xmltree
 
 import (
-	"sort"
-	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -40,115 +45,116 @@ const (
 	BackendColumnar = "columnar"
 )
 
-// DocStore is the pluggable storage encoding of one finalized document.
-// All node arguments and results are document-order indices (Node.Ord);
-// -1 means "no such node". Implementations are immutable once built and
-// safe for concurrent use.
-//
-// The method set is the audited minimal surface the evaluators consume
-// (via the Index and the *Node view): kind/label/data lookup, the three
-// structural links, pre/post interval order, per-tag and per-attribute
-// candidate lists, contiguous subtree intervals, and the Remark 3.1
-// extra labels. Everything else the engines do is derived from these.
-type DocStore interface {
-	// Backend names the encoding (BackendPointer, BackendColumnar, ...).
-	Backend() string
-	// NumNodes is the document size |D| (every node kind included).
-	NumNodes() int
-
-	// Kind returns the node kind at ord.
-	Kind(ord int) NodeType
-	// Name returns the element tag, attribute name or PI target at ord
-	// ("" for root, text and comment nodes).
-	Name(ord int) string
-	// Data returns the character data at ord (text content, attribute
-	// value, comment or PI payload; "" for elements and the root).
-	Data(ord int) string
-	// Labels returns the Remark 3.1 extra labels at ord, sorted (nil for
-	// the common unlabeled case).
-	Labels(ord int) []string
-
-	// ParentOrd, FirstChildOrd and NextSiblingOrd return the structural
-	// links as ords, or -1. Attribute nodes have a parent (the owning
-	// element) but no child or sibling links.
-	ParentOrd(ord int) int
-	FirstChildOrd(ord int) int
-	NextSiblingOrd(ord int) int
-	// Pre and Post are the pre/post-order numbers over the child tree;
-	// attributes share their owner's interval.
-	Pre(ord int) int
-	Post(ord int) int
-
-	// TagOrds returns the ords of every element with the given tag, in
-	// document order. The slice is shared and must not be modified.
-	TagOrds(tag string) []int32
-	// AttrOrds returns the ords of every attribute node with the given
-	// name, in document order. Shared; read-only.
-	AttrOrds(name string) []int32
-	// SubtreeOrdSpan returns the half-open ord interval [lo, hi) covering
-	// the node, its attributes and its whole subtree — the contiguity
-	// that makes interval slicing (SubtreeSlice) a pair of binary
-	// searches. For an attribute node the span is the node alone.
-	SubtreeOrdSpan(ord int) (lo, hi int)
-
-	// Fingerprint is the 64-bit content fingerprint — identical across
-	// backends for identical content, so result caches and the registry
-	// dedup by content regardless of encoding.
-	Fingerprint() uint64
-	// SizeBytes is the resident footprint of this encoding alone (the
-	// store at rest, without any hydrated node-handle view).
-	SizeBytes() int64
-	// Document returns a node-handle view of the store for evaluation.
-	// The pointer backend returns its one true tree; the columnar
-	// backend hydrates a fresh compact slab with deterministic,
-	// content-identical Ord numbering on every call.
-	Document() *Document
+// links are the structural links of a document as ords, indexed by ord
+// and -1 when absent. Attribute entries carry parent only.
+type links struct {
+	parent      []int32
+	firstChild  []int32
+	nextSibling []int32
 }
 
-// storeCache is the backend slot embedded in Document, sibling of
-// indexCache and fpCache: the store behind a hydrated view, or the
-// lazily built pointer adapter for plain trees.
-type storeCache struct {
-	storeMu sync.Mutex
-	storeV  DocStore
-	// viewBytes is the resident cost of the node-handle layer when it is
-	// separate from the store (columnar hydration); 0 for the pointer
-	// backend, whose store bytes are the view.
-	viewBytes int64
-}
-
-// Store returns the document's storage backend. Documents built through
-// NewDocument, Parse or Copy are pointer-backed; documents hydrated from
-// a Columnar store report that store.
-func (d *Document) Store() DocStore {
-	d.storeMu.Lock()
-	defer d.storeMu.Unlock()
-	if d.storeV == nil {
-		d.storeV = &pointerStore{doc: d}
+// newLinks allocates the links of n nodes from one backing.
+func newLinks(n int) links {
+	words := make([]int32, 3*n)
+	return links{
+		parent:      words[:n:n],
+		firstChild:  words[n : 2*n : 2*n],
+		nextSibling: words[2*n : 3*n : 3*n],
 	}
-	return d.storeV
 }
 
-// setStore installs the backend behind a freshly hydrated view.
-func (d *Document) setStore(s DocStore, viewBytes int64) {
-	d.storeMu.Lock()
-	d.storeV = s
-	d.viewBytes = viewBytes
-	d.storeMu.Unlock()
+// clone returns an exactly sized copy of the links.
+func (l *links) clone() links {
+	c := newLinks(len(l.parent))
+	copy(c.parent, l.parent)
+	copy(c.firstChild, l.firstChild)
+	copy(c.nextSibling, l.nextSibling)
+	return c
 }
 
-// invalidateStore drops the backend association; called from the single
-// build entry point (number), so a re-finalized tree reverts to the
-// pointer backend rather than reporting a stale store.
-func (d *Document) invalidateStore() {
-	d.storeMu.Lock()
-	d.storeV = nil
+// treeLinks fills l, sized for nodes, from the node graph: the one walk
+// that turns a built tree into links, shared by the index of a
+// tree-built document and by NewColumnar.
+func treeLinks(nodes []*Node, l links) {
+	for ord, m := range nodes {
+		l.parent[ord], l.firstChild[ord], l.nextSibling[ord] = -1, -1, -1
+		if m.Parent != nil {
+			l.parent[ord] = int32(m.Parent.Ord)
+		}
+		if m.Type == AttributeNode {
+			continue
+		}
+		if len(m.Children) > 0 {
+			l.firstChild[ord] = int32(m.Children[0].Ord)
+		}
+		if s := m.NextSibling(); s != nil {
+			l.nextSibling[ord] = int32(s.Ord)
+		}
+	}
+}
+
+// treeOrdLists groups the element and attribute ords of a built tree by
+// name, in document order.
+func treeOrdLists(nodes []*Node) (tags, attrs map[string][]int32) {
+	tags = make(map[string][]int32)
+	attrs = make(map[string][]int32)
+	for ord, m := range nodes {
+		switch m.Type {
+		case ElementNode:
+			tags[m.Name] = append(tags[m.Name], int32(ord))
+		case AttributeNode:
+			attrs[m.Name] = append(attrs[m.Name], int32(ord))
+		}
+	}
+	return tags, attrs
+}
+
+// core is the link-core slot embedded in Document, sibling of
+// indexCache and fpCache. The links and ord lists are written only
+// while the document is built or, for a tree-built document, under the
+// index lock; the index is their only reader.
+type core struct {
+	// links are nil on a tree-built document until its index is built.
+	links
+	// tagOrds and attrOrds are the per-tag element and per-name
+	// attribute ord lists, in document order. A pointer document drops
+	// them once its index holds them as node lists.
+	tagOrds  map[string][]int32
+	attrOrds map[string][]int32
+	// col is the columnar store behind a hydrated view; nil for a
+	// pointer document.
+	col *Columnar
+	// viewBytes is the resident cost of a columnar view's node graph;
+	// 0 for a pointer document, whose graph is the store.
+	viewBytes int64
+	// treeBytes caches the measured footprint of a pointer document's
+	// node graph; 0 until first measured.
+	treeBytes atomic.Int64
+}
+
+// resetCore drops the link core and the backend association; called
+// from the single build entry point (number), so a re-finalized tree
+// reverts to the pointer backend rather than reporting a stale store.
+func (d *Document) resetCore() {
+	d.links = links{}
+	d.tagOrds, d.attrOrds = nil, nil
+	d.col = nil
 	d.viewBytes = 0
-	d.storeMu.Unlock()
+	d.treeBytes.Store(0)
 }
+
+// Columnar returns the columnar store behind a hydrated view, or nil
+// for a pointer document. The store is what a registry keeps resident
+// to demote the view and rehydrate it later.
+func (d *Document) Columnar() *Columnar { return d.col }
 
 // Backend names the document's storage backend.
-func (d *Document) Backend() string { return d.Store().Backend() }
+func (d *Document) Backend() string {
+	if d.col != nil {
+		return BackendColumnar
+	}
+	return BackendPointer
+}
 
 // ValidBackend reports whether name selects a known storage backend
 // ("" selects the pointer default).
@@ -168,161 +174,41 @@ func Backends() []string { return []string{BackendPointer, BackendColumnar} }
 // without a hydrated view. For pointer-backed documents this is the
 // whole tree; for columnar-backed documents it is the flat arrays and
 // tables only.
-func (d *Document) StoreSizeBytes() int64 { return d.Store().SizeBytes() }
+func (d *Document) StoreSizeBytes() int64 {
+	if d.col != nil {
+		return d.col.SizeBytes()
+	}
+	return d.treeSizeBytes()
+}
 
 // ResidentBytes is the full resident footprint of this document as
 // held: the storage encoding plus, for hydrated columnar documents, the
 // node-handle slab serving evaluation. Pointer-backed documents report
-// their tree once (store and view are the same memory).
-func (d *Document) ResidentBytes() int64 {
-	s := d.Store() // ensures storeV, takes and releases the lock
-	d.storeMu.Lock()
-	vb := d.viewBytes
-	d.storeMu.Unlock()
-	return s.SizeBytes() + vb
-}
+// their tree once (store and view are the same memory). The index is
+// not counted.
+func (d *Document) ResidentBytes() int64 { return d.StoreSizeBytes() + d.viewBytes }
 
-// pointerStore adapts a pointer-tree Document to the DocStore interface:
-// every primitive delegates to the Node graph the engines already walk.
-// It is the identity backend — Document() returns the adapted tree — so
-// it cannot be demoted, only evicted.
-type pointerStore struct {
-	doc *Document
-
-	once sync.Once
-	// tagOrds and attrOrds are filled by build, unless the parser
-	// seeded them from its scan.
-	tagOrds  map[string][]int32
-	attrOrds map[string][]int32
-	size     int64
-}
-
-func (p *pointerStore) Backend() string { return BackendPointer }
-func (p *pointerStore) NumNodes() int   { return len(p.doc.Nodes) }
-
-func (p *pointerStore) Kind(ord int) NodeType { return p.doc.Nodes[ord].Type }
-func (p *pointerStore) Name(ord int) string   { return p.doc.Nodes[ord].Name }
-func (p *pointerStore) Data(ord int) string   { return p.doc.Nodes[ord].Data }
-func (p *pointerStore) Labels(ord int) []string {
-	return p.doc.Nodes[ord].Labels()
-}
-
-func (p *pointerStore) ParentOrd(ord int) int {
-	if par := p.doc.Nodes[ord].Parent; par != nil {
-		return par.Ord
+// treeSizeBytes measures the node graph once: Node structs, slice
+// backings, string payloads (each node's name counted in full, though a
+// parsed tree shares one interned copy), label maps and the Nodes
+// slice. Racing first callers compute the same value.
+func (d *Document) treeSizeBytes() int64 {
+	if size := d.treeBytes.Load(); size != 0 {
+		return size
 	}
-	return -1
-}
-
-func (p *pointerStore) FirstChildOrd(ord int) int {
-	n := p.doc.Nodes[ord]
-	if n.Type != AttributeNode && len(n.Children) > 0 {
-		return n.Children[0].Ord
+	const (
+		nodeSize    = int64(unsafe.Sizeof(Node{}))
+		ptrSize     = int64(unsafe.Sizeof((*Node)(nil)))
+		labelEntry  = 48 // map bucket share + string header, coarse
+		sliceHeader = int64(unsafe.Sizeof([]*Node{}))
+	)
+	size := sliceHeader + int64(cap(d.Nodes))*ptrSize
+	for _, n := range d.Nodes {
+		size += nodeSize
+		size += int64(cap(n.Children))*ptrSize + int64(cap(n.Attrs))*ptrSize
+		size += int64(len(n.Name) + len(n.Data))
+		size += int64(len(n.labels)) * labelEntry
 	}
-	return -1
-}
-
-func (p *pointerStore) NextSiblingOrd(ord int) int {
-	if s := p.doc.Nodes[ord].NextSibling(); s != nil {
-		return s.Ord
-	}
-	return -1
-}
-
-func (p *pointerStore) Pre(ord int) int  { return p.doc.Nodes[ord].Pre }
-func (p *pointerStore) Post(ord int) int { return p.doc.Nodes[ord].Post }
-
-func (p *pointerStore) TagOrds(tag string) []int32 {
-	p.build()
-	return p.tagOrds[tag]
-}
-
-func (p *pointerStore) AttrOrds(name string) []int32 {
-	p.build()
-	return p.attrOrds[name]
-}
-
-func (p *pointerStore) SubtreeOrdSpan(ord int) (int, int) {
-	return subtreeOrdSpan(p, ord)
-}
-
-func (p *pointerStore) Fingerprint() uint64 { return p.doc.Fingerprint() }
-
-func (p *pointerStore) SizeBytes() int64 {
-	p.build()
-	return p.size
-}
-
-func (p *pointerStore) Document() *Document { return p.doc }
-
-// build fills the derived tables once: the per-tag/per-attribute ord
-// lists (unless seeded) and the measured resident size of the pointer
-// representation. The size walk counts what the tree holds — Node
-// structs, slice backings, string payloads (each node's name counted in
-// full, though a parsed tree shares one interned copy), label maps and
-// the Nodes slice — replacing the flat per-node guess the registry used
-// to make.
-func (p *pointerStore) build() {
-	p.once.Do(func() {
-		const (
-			nodeSize    = int64(unsafe.Sizeof(Node{}))
-			ptrSize     = int64(unsafe.Sizeof((*Node)(nil)))
-			labelEntry  = 48 // map bucket share + string header, coarse
-			sliceHeader = int64(unsafe.Sizeof([]*Node{}))
-		)
-		seeded := p.tagOrds != nil
-		if !seeded {
-			p.tagOrds = make(map[string][]int32)
-			p.attrOrds = make(map[string][]int32)
-		}
-		size := sliceHeader + int64(cap(p.doc.Nodes))*ptrSize
-		for _, n := range p.doc.Nodes {
-			if !seeded {
-				switch n.Type {
-				case ElementNode:
-					p.tagOrds[n.Name] = append(p.tagOrds[n.Name], int32(n.Ord))
-				case AttributeNode:
-					p.attrOrds[n.Name] = append(p.attrOrds[n.Name], int32(n.Ord))
-				}
-			}
-			size += nodeSize
-			size += int64(cap(n.Children))*ptrSize + int64(cap(n.Attrs))*ptrSize
-			size += int64(len(n.Name) + len(n.Data))
-			size += int64(len(n.labels)) * labelEntry
-		}
-		p.size = size
-	})
-}
-
-// ordLists returns the store's per-tag and per-attribute ord lists.
-func (p *pointerStore) ordLists() (tags, attrs map[string][]int32) {
-	p.build()
-	return p.tagOrds, p.attrOrds
-}
-
-// subtreeOrdSpan computes the contiguous ord interval of a node's
-// subtree (attributes included) from the structural links alone, so any
-// backend gets it for free: the span ends where the next sibling —
-// walking up through ancestors when the node is a last child — begins.
-func subtreeOrdSpan(s DocStore, ord int) (int, int) {
-	if s.Kind(ord) == AttributeNode {
-		return ord, ord + 1
-	}
-	for j := ord; j >= 0; j = s.ParentOrd(j) {
-		if ns := s.NextSiblingOrd(j); ns >= 0 {
-			return ord, ns
-		}
-	}
-	return ord, s.NumNodes()
-}
-
-// sortedKeys returns a map's keys in sorted order (shared by the
-// backends' deterministic walks).
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	d.treeBytes.Store(size)
+	return size
 }

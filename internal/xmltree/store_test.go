@@ -1,10 +1,13 @@
 package xmltree
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 const storeTestXML = `<library kind="public">
@@ -34,151 +37,174 @@ func storeTestDocs(t *testing.T) map[string]*Document {
 	return map[string]*Document{"parsed": parsed, "labeled": labeled, "random": random}
 }
 
-// checkStoreAgainstTree asserts every DocStore primitive against the
-// pointer graph of the given view document (whose Nodes are the ground
-// truth for ords).
-func checkStoreAgainstTree(t *testing.T, s DocStore, view *Document) {
+// diffIndexes describes the first difference between two indexes of
+// the same content, or returns "": the link arrays and attribute mask
+// must be equal, and the per-tag, per-attribute and per-kind lists
+// must hold the same nodes by Ord.
+func diffIndexes(got, want *Index) string {
+	for _, a := range []struct {
+		name      string
+		got, want []int32
+	}{
+		{"parent", got.ParentOrds(), want.ParentOrds()},
+		{"firstChild", got.FirstChildOrds(), want.FirstChildOrds()},
+		{"nextSibling", got.NextSiblingOrds(), want.NextSiblingOrds()},
+	} {
+		if !slices.Equal(a.got, a.want) {
+			return fmt.Sprintf("%s links %v, want %v", a.name, a.got, a.want)
+		}
+	}
+	if !slices.Equal(got.AttrMask(), want.AttrMask()) {
+		return fmt.Sprintf("attribute mask %x, want %x", got.AttrMask(), want.AttrMask())
+	}
+	ords := func(l []*Node) []int {
+		out := make([]int, len(l))
+		for i, n := range l {
+			out[i] = n.Ord
+		}
+		return out
+	}
+	lists := func(what string, got, want map[string][]*Node) string {
+		if len(got) != len(want) {
+			return fmt.Sprintf("%d %s names, want %d", len(got), what, len(want))
+		}
+		for name, w := range want {
+			if g := got[name]; !slices.Equal(ords(g), ords(w)) {
+				return fmt.Sprintf("%s %q: ords %v, want %v", what, name, ords(g), ords(w))
+			}
+		}
+		return ""
+	}
+	if msg := lists("tag", got.elemsByTag, want.elemsByTag); msg != "" {
+		return msg
+	}
+	if msg := lists("attribute", got.attrsByName, want.attrsByName); msg != "" {
+		return msg
+	}
+	return lists("kind", map[string][]*Node{
+		"element": got.Elements(), "text": got.Texts(), "comment": got.Comments(),
+		"processing-instruction": got.ProcInsts(), "tree": got.TreeNodes(),
+	}, map[string][]*Node{
+		"element": want.Elements(), "text": want.Texts(), "comment": want.Comments(),
+		"processing-instruction": want.ProcInsts(), "tree": want.TreeNodes(),
+	})
+}
+
+// checkCoreAgainstTree asserts a document's node content, its Index
+// link arrays and its per-tag and per-attribute lists against the
+// pointer graph of view (whose Nodes are the ground truth for ords).
+func checkCoreAgainstTree(t *testing.T, d, view *Document) {
 	t.Helper()
-	if s.NumNodes() != len(view.Nodes) {
-		t.Fatalf("NumNodes = %d, want %d", s.NumNodes(), len(view.Nodes))
+	if len(d.Nodes) != len(view.Nodes) {
+		t.Fatalf("%d nodes, want %d", len(d.Nodes), len(view.Nodes))
+	}
+	ix := d.Index()
+	parent, firstChild, nextSibling := ix.ParentOrds(), ix.FirstChildOrds(), ix.NextSiblingOrds()
+	if len(parent) != len(view.Nodes) || len(firstChild) != len(view.Nodes) || len(nextSibling) != len(view.Nodes) {
+		t.Fatalf("link arrays sized %d/%d/%d, want %d",
+			len(parent), len(firstChild), len(nextSibling), len(view.Nodes))
 	}
 	for ord, n := range view.Nodes {
-		if got := s.Kind(ord); got != n.Type {
-			t.Fatalf("ord %d: Kind = %v, want %v", ord, got, n.Type)
+		m := d.Nodes[ord]
+		if m.Ord != ord || m.Type != n.Type || m.Name != n.Name || m.Data != n.Data || m.Pre != n.Pre || m.Post != n.Post {
+			t.Fatalf("ord %d: {%d %v %q %q pre=%d post=%d}, want {%d %v %q %q pre=%d post=%d}",
+				ord, m.Ord, m.Type, m.Name, m.Data, m.Pre, m.Post, n.Ord, n.Type, n.Name, n.Data, n.Pre, n.Post)
 		}
-		if got := s.Name(ord); got != n.Name {
-			t.Fatalf("ord %d: Name = %q, want %q", ord, got, n.Name)
-		}
-		if got := s.Data(ord); got != n.Data {
-			t.Fatalf("ord %d: Data = %q, want %q", ord, got, n.Data)
-		}
-		if got, want := s.Pre(ord), n.Pre; got != want {
-			t.Fatalf("ord %d: Pre = %d, want %d", ord, got, want)
-		}
-		if got, want := s.Post(ord), n.Post; got != want {
-			t.Fatalf("ord %d: Post = %d, want %d", ord, got, want)
+		if got, want := m.Labels(), n.Labels(); strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("ord %d: Labels = %v, want %v", ord, got, want)
 		}
 		wantParent := -1
 		if n.Parent != nil {
 			wantParent = n.Parent.Ord
 		}
-		if got := s.ParentOrd(ord); got != wantParent {
-			t.Fatalf("ord %d: ParentOrd = %d, want %d", ord, got, wantParent)
+		if got := int(parent[ord]); got != wantParent {
+			t.Fatalf("ord %d: parent = %d, want %d", ord, got, wantParent)
 		}
 		wantFC := -1
 		if n.Type != AttributeNode && len(n.Children) > 0 {
 			wantFC = n.Children[0].Ord
 		}
-		if got := s.FirstChildOrd(ord); got != wantFC {
-			t.Fatalf("ord %d: FirstChildOrd = %d, want %d", ord, got, wantFC)
+		if got := int(firstChild[ord]); got != wantFC {
+			t.Fatalf("ord %d: first child = %d, want %d", ord, got, wantFC)
 		}
 		wantNS := -1
 		if sib := n.NextSibling(); sib != nil {
 			wantNS = sib.Ord
 		}
-		if got := s.NextSiblingOrd(ord); got != wantNS {
-			t.Fatalf("ord %d: NextSiblingOrd = %d, want %d", ord, got, wantNS)
-		}
-		if got, want := s.Labels(ord), n.Labels(); strings.Join(got, ",") != strings.Join(want, ",") {
-			t.Fatalf("ord %d: Labels = %v, want %v", ord, got, want)
-		}
-		lo, hi := s.SubtreeOrdSpan(ord)
-		if lo != ord {
-			t.Fatalf("ord %d: SubtreeOrdSpan lo = %d", ord, lo)
-		}
-		wantHi := ord + 1
-		if n.Type != AttributeNode {
-			// The subtree span covers every node whose Pre lies inside
-			// [n.Pre, ...] with Post < n.Post, plus attributes; count by
-			// scanning document order.
-			wantHi = len(view.Nodes)
-			for j := ord + 1; j < len(view.Nodes); j++ {
-				m := view.Nodes[j]
-				anc := m
-				for anc != nil && anc != n {
-					anc = anc.Parent
-				}
-				if anc == nil {
-					wantHi = j
-					break
-				}
-			}
-		}
-		if hi != wantHi {
-			t.Fatalf("ord %d (%v %q): SubtreeOrdSpan hi = %d, want %d", ord, n.Type, n.Name, hi, wantHi)
+		if got := int(nextSibling[ord]); got != wantNS {
+			t.Fatalf("ord %d: next sibling = %d, want %d", ord, got, wantNS)
 		}
 	}
 	// Per-tag and per-attribute lists match a document-order scan.
-	tags := map[string][]int32{}
-	attrs := map[string][]int32{}
+	tags := map[string][]int{}
+	attrs := map[string][]int{}
 	for ord, n := range view.Nodes {
 		switch n.Type {
 		case ElementNode:
-			tags[n.Name] = append(tags[n.Name], int32(ord))
+			tags[n.Name] = append(tags[n.Name], ord)
 		case AttributeNode:
-			attrs[n.Name] = append(attrs[n.Name], int32(ord))
+			attrs[n.Name] = append(attrs[n.Name], ord)
 		}
 	}
-	for tag, want := range tags {
-		got := s.TagOrds(tag)
-		if len(got) != len(want) {
-			t.Fatalf("TagOrds(%q) = %v, want %v", tag, got, want)
+	ords := func(l []*Node) []int {
+		out := make([]int, len(l))
+		for i, n := range l {
+			out[i] = n.Ord
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("TagOrds(%q) = %v, want %v", tag, got, want)
-			}
+		return out
+	}
+	for tag, want := range tags {
+		if got := ords(ix.ElementsByTag(tag)); !slices.Equal(got, want) {
+			t.Fatalf("ElementsByTag(%q) = %v, want %v", tag, got, want)
 		}
 	}
 	for name, want := range attrs {
-		got := s.AttrOrds(name)
-		if len(got) != len(want) {
-			t.Fatalf("AttrOrds(%q) = %v, want %v", name, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("AttrOrds(%q) = %v, want %v", name, got, want)
-			}
+		if got := ords(ix.AttributesByName(name)); !slices.Equal(got, want) {
+			t.Fatalf("AttributesByName(%q) = %v, want %v", name, got, want)
 		}
 	}
-	if got := s.TagOrds("no-such-tag"); len(got) != 0 {
-		t.Fatalf("TagOrds(no-such-tag) = %v", got)
+	if got := ix.ElementsByTag("no-such-tag"); len(got) != 0 {
+		t.Fatalf("ElementsByTag(no-such-tag) = %v", ords(got))
 	}
-	if got := s.AttrOrds("no-such-attr"); len(got) != 0 {
-		t.Fatalf("AttrOrds(no-such-attr) = %v", got)
+	if got := ix.AttributesByName("no-such-attr"); len(got) != 0 {
+		t.Fatalf("AttributesByName(no-such-attr) = %v", ords(got))
 	}
 }
 
+// A pointer document's link core — copied from the scan for a parse,
+// walked from the tree otherwise — mirrors its own node graph.
 func TestPointerStorePrimitives(t *testing.T) {
 	for name, d := range storeTestDocs(t) {
 		t.Run(name, func(t *testing.T) {
-			s := d.Store()
-			if s.Backend() != BackendPointer {
-				t.Fatalf("Backend = %q", s.Backend())
+			if d.Backend() != BackendPointer {
+				t.Fatalf("Backend = %q", d.Backend())
 			}
-			if s.Document() != d {
-				t.Fatal("pointer store Document() is not the adapted tree")
+			if d.Columnar() != nil {
+				t.Fatal("pointer document reports a columnar store")
 			}
-			if s.Fingerprint() != d.Fingerprint() {
-				t.Fatal("pointer store fingerprint mismatch")
-			}
-			checkStoreAgainstTree(t, s, d)
+			checkCoreAgainstTree(t, d, d)
 		})
 	}
 }
 
+// A columnar view's link core, lent by its store, agrees with both the
+// source tree and the view's own hydrated graph.
 func TestColumnarStorePrimitives(t *testing.T) {
 	for name, d := range storeTestDocs(t) {
 		t.Run(name, func(t *testing.T) {
 			c := NewColumnar(d)
-			if c.Backend() != BackendColumnar {
-				t.Fatalf("Backend = %q", c.Backend())
-			}
-			// The primitives must agree with the source tree...
-			checkStoreAgainstTree(t, c, d)
-			// ...and with the hydrated view's own graph.
 			h := c.Document()
-			checkStoreAgainstTree(t, c, h)
+			if h.Backend() != BackendColumnar {
+				t.Fatalf("Backend = %q", h.Backend())
+			}
+			if h.Columnar() != c {
+				t.Fatal("hydrated view does not report its store")
+			}
+			if h.Fingerprint() != d.Fingerprint() {
+				t.Fatal("columnar view fingerprint mismatch")
+			}
+			checkCoreAgainstTree(t, h, d)
+			checkCoreAgainstTree(t, h, h)
 		})
 	}
 }
@@ -305,83 +331,105 @@ func TestCompactAndInvalidation(t *testing.T) {
 // The columnar encoding must be dramatically smaller than the pointer
 // tree at rest, and the documented two-tier accounting must hold:
 // ResidentBytes = store + view for columnar, = tree alone for pointer.
+// The exact byte counts are pinned: the registry charges and demotes by
+// them, and /v1/docs reports them.
 func TestStoreSizeAccounting(t *testing.T) {
 	d := RandomDocument(rand.New(rand.NewSource(7)), GenConfig{
 		Nodes: 4000, MaxFanout: 4, Tags: []string{"a", "b", "c", "d"},
 		TextProb: 0.3, AttrProb: 0.25,
 	})
-	pointerBytes := d.StoreSizeBytes()
-	if pointerBytes <= 0 {
-		t.Fatalf("pointer StoreSizeBytes = %d", pointerBytes)
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pinned byte counts are those of a 64-bit platform")
 	}
-	if got := d.ResidentBytes(); got != pointerBytes {
-		t.Fatalf("pointer ResidentBytes = %d, want store bytes %d", got, pointerBytes)
+	pd, err := ParseString(d.XMLString())
+	if err != nil {
+		t.Fatal(err)
 	}
-	cd := Compact(d)
-	storeBytes := cd.StoreSizeBytes()
-	if storeBytes <= 0 {
-		t.Fatalf("columnar StoreSizeBytes = %d", storeBytes)
+	cpd, err := ParseWith(strings.NewReader(d.XMLString()), ParseConfig{Backend: BackendColumnar})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, c := range []struct {
+		name            string
+		doc             *Document
+		store, resident int64
+	}{
+		{"tree", d, 998192, 998192},
+		{"compact", Compact(d), 205128, 1184000},
+		{"pointer parse", pd, 991824, 991824},
+		{"columnar parse", cpd, 205128, 1184000},
+	} {
+		c.doc.Index() // the index is not part of either figure
+		if got := c.doc.StoreSizeBytes(); got != c.store {
+			t.Errorf("%s: StoreSizeBytes = %d, want %d", c.name, got, c.store)
+		}
+		if got := c.doc.ResidentBytes(); got != c.resident {
+			t.Errorf("%s: ResidentBytes = %d, want %d", c.name, got, c.resident)
+		}
+	}
+	pointerBytes, storeBytes := pd.StoreSizeBytes(), cpd.StoreSizeBytes()
 	if pointerBytes < 2*storeBytes {
 		t.Fatalf("columnar store not ≥2x smaller: pointer %d, columnar %d (%.2fx)",
 			pointerBytes, storeBytes, float64(pointerBytes)/float64(storeBytes))
 	}
-	resident := cd.ResidentBytes()
-	if resident <= storeBytes {
+	if resident := cpd.ResidentBytes(); resident <= storeBytes {
 		t.Fatalf("columnar ResidentBytes = %d must exceed store-only %d (hydrated view is resident)",
 			resident, storeBytes)
 	}
-	nodes := int64(len(d.Nodes))
-	t.Logf("per-node: pointer %.1f B, columnar store %.1f B, columnar resident %.1f B",
-		float64(pointerBytes)/float64(nodes), float64(storeBytes)/float64(nodes),
-		float64(resident)/float64(nodes))
 }
 
-// The index of a columnar-backed view shares the store's structural
-// arrays zero-copy and must expose exactly the same lists as the index
-// built by the pointer walk.
+// Every route into the link core hands the index the document's own
+// arrays without copying them again: a columnar view lends its store's,
+// a pointer parse its exact-size copy of the scan's. A pointer document
+// then drops its ord lists; a columnar store keeps them for the next
+// hydration. Either index matches the tree-built one.
 func TestIndexZeroCopyOnColumnar(t *testing.T) {
 	for name, d := range storeTestDocs(t) {
 		t.Run(name, func(t *testing.T) {
 			c := NewColumnar(d)
 			h := c.Document()
-			hix, dix := h.Index(), d.Index()
+			hix := h.Index()
 			if &hix.firstChild[0] != &c.firstChild[0] ||
 				&hix.nextSibling[0] != &c.nextSibling[0] ||
 				&hix.parent[0] != &c.parent[0] {
 				t.Fatal("columnar-backed index did not share the store arrays")
 			}
-			for i := range dix.firstChild {
-				if hix.firstChild[i] != dix.firstChild[i] ||
-					hix.nextSibling[i] != dix.nextSibling[i] ||
-					hix.parent[i] != dix.parent[i] ||
-					hix.isAttr[i] != dix.isAttr[i] {
-					t.Fatalf("ord %d: flat arrays disagree with pointer-built index", i)
-				}
+			if h.tagOrds == nil || h.Columnar() != c {
+				t.Fatal("columnar view lost its store or its ord lists")
 			}
-			for _, tag := range dix.Tags() {
-				want := dix.ElementsByTag(tag)
-				got := hix.ElementsByTag(tag)
-				if len(got) != len(want) {
-					t.Fatalf("tag %q: %d elements, want %d", tag, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Ord != want[i].Ord {
-						t.Fatalf("tag %q elem %d: ord %d, want %d", tag, i, got[i].Ord, want[i].Ord)
-					}
-				}
-			}
-			if len(hix.TreeNodes()) != len(dix.TreeNodes()) ||
-				len(hix.Elements()) != len(dix.Elements()) ||
-				len(hix.Texts()) != len(dix.Texts()) {
-				t.Fatal("per-kind lists disagree")
+			if msg := diffIndexes(hix, d.Index()); msg != "" {
+				t.Fatalf("columnar view: %s", msg)
 			}
 		})
 	}
+	p, err := ParseString(storeTestXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := p.links
+	ix := p.Index()
+	n := len(p.Nodes)
+	for _, a := range []struct{ ix, core []int32 }{
+		{ix.parent, core.parent}, {ix.firstChild, core.firstChild}, {ix.nextSibling, core.nextSibling},
+	} {
+		if &a.ix[0] != &a.core[0] || len(a.core) != n || cap(a.core) != n {
+			t.Fatalf("pointer index does not alias an exact-size link core (len %d, cap %d, %d nodes)",
+				len(a.core), cap(a.core), n)
+		}
+	}
+	if p.tagOrds != nil || p.attrOrds != nil {
+		t.Fatal("pointer document kept its ord lists after indexing")
+	}
+	if p.Columnar() != nil {
+		t.Fatal("pointer document reports a columnar store")
+	}
+	if msg := diffIndexes(ix, p.Copy().Index()); msg != "" {
+		t.Fatalf("pointer parse: %s", msg)
+	}
 }
 
-// Store(), hydration and size accounting must be safe under concurrent
-// first use (run with -race).
+// Hydration, indexing and size accounting must be safe under
+// concurrent first use (run with -race).
 func TestStoreConcurrency(t *testing.T) {
 	d, err := ParseString(storeTestXML)
 	if err != nil {
@@ -394,8 +442,8 @@ func TestStoreConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				_ = d.Store().SizeBytes()
-				_ = d.Store().TagOrds("book")
+				_ = d.StoreSizeBytes()
+				_ = d.Index()
 				h := c.Document()
 				_ = h.Index()
 				_ = h.ResidentBytes()

@@ -182,6 +182,23 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
+// Escaping text or an attribute value that needs no escape allocates
+// nothing: the serializer writes one per text node and attribute.
+func TestEscapeAllocs(t *testing.T) {
+	if got := escapeText("a < b & c > d"); got != "a &lt; b &amp; c &gt; d" {
+		t.Fatalf("escapeText = %q", got)
+	}
+	if got := escapeAttr(`a < "b" & c`); got != "a &lt; &quot;b&quot; &amp; c" {
+		t.Fatalf("escapeAttr = %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { escapeText("plain text") }); n != 0 {
+		t.Fatalf("escapeText of plain text: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { escapeAttr("plain value") }); n != 0 {
+		t.Fatalf("escapeAttr of a plain value: %v allocations, want 0", n)
+	}
+}
+
 func TestSerializeLabelsRoundTrip(t *testing.T) {
 	d := NewDocument(ElemL("v", []string{"G", "R"}, ElemL("w", []string{"I1"})))
 	out := d.XMLString()

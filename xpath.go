@@ -168,11 +168,6 @@ func ParseDocument(r io.Reader) (*Document, error) { return xmltree.Parse(r) }
 // ParseDocumentString parses an XML document from a string.
 func ParseDocumentString(s string) (*Document, error) { return xmltree.ParseString(s) }
 
-// DocStore is the pluggable document storage backend: the structural
-// primitives the engines consume, behind a swappable encoding. See
-// docs/STORAGE.md.
-type DocStore = xmltree.DocStore
-
 // DocParseConfig bundles document parse options (whitespace handling,
 // storage backend).
 type DocParseConfig = xmltree.ParseConfig
