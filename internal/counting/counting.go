@@ -331,7 +331,7 @@ func CountableAxis(a ast.Axis) bool {
 func Fill(doc *xmltree.Document, axis ast.Axis, test, base nodeset.Set, cmp Cmp, out nodeset.Set) {
 	needLast := cmp.UsesLast()
 	pass := func(n *xmltree.Node) bool {
-		return test.HasOrd(n.Ord) && (base.Words == nil || base.HasOrd(n.Ord))
+		return test.HasOrd(int(n.Ord)) && (base.Words == nil || base.HasOrd(int(n.Ord)))
 	}
 	for _, p := range doc.Nodes {
 		sibs := p.Children
@@ -356,7 +356,7 @@ func Fill(doc *xmltree.Document, axis ast.Axis, test, base nodeset.Set, cmp Cmp,
 			}
 			rank++
 			if cmp.Eval(rank, total) {
-				out.AddOrd(c.Ord)
+				out.AddOrd(int(c.Ord))
 			}
 		}
 	}

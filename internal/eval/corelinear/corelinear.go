@@ -437,7 +437,7 @@ func (e *evaluator) forwardPathSparse(p *ast.Path, first *xmltree.Node) (nodeset
 			if sparse {
 				kept := list[:0] // the frontier buffer is exclusively ours
 				for _, n := range list {
-					if cond.HasOrd(n.Ord) {
+					if cond.HasOrd(int(n.Ord)) {
 						kept = append(kept, n)
 					}
 				}
@@ -528,7 +528,7 @@ func (e *evaluator) selectSparse(a ast.Axis, t ast.NodeTest, list, out []*xmltre
 		vb := e.buf(&e.visBuf)
 		visited := (*vb)[:0]
 		for _, n := range list {
-			j := int32(n.Ord)
+			j := n.Ord
 			if a == ast.AxisAncestor {
 				j = par[n.Ord]
 			}
@@ -604,7 +604,7 @@ func (e *evaluator) pruneNested(list []*xmltree.Node) []*xmltree.Node {
 	pb := e.buf(&e.pruneBuf)
 	sorted := append((*pb)[:0], list...)
 	*pb = sorted
-	slices.SortFunc(sorted, func(a, b *xmltree.Node) int { return a.Pre - b.Pre })
+	slices.SortFunc(sorted, func(a, b *xmltree.Node) int { return int(a.Pre - b.Pre) })
 	out := sorted[:0]
 	for _, n := range sorted {
 		if len(out) > 0 {

@@ -606,7 +606,7 @@ func (e *evaluator) runSteps(steps []*ast.Step, frontier []*xmltree.Node, b0, b1
 // normalized set, and neither touches the operation counter.
 func (e *evaluator) normalizeFrontier(collected []*xmltree.Node) []*xmltree.Node {
 	if e.idx == nil || len(collected) < 64 || len(collected)*4 < len(e.idx.Doc().Nodes) {
-		slices.SortFunc(collected, func(a, b *xmltree.Node) int { return a.Ord - b.Ord })
+		slices.SortFunc(collected, func(a, b *xmltree.Node) int { return int(a.Ord - b.Ord) })
 		out := collected[:0]
 		for _, n := range collected {
 			if len(out) == 0 || out[len(out)-1] != n {

@@ -145,7 +145,7 @@ func RunBackendEquivalence(t *testing.T, engineName string, engine Engine, caps 
 				if i%3 == 1 && len(pd.Nodes) > 2 {
 					ordCtx = 1 + (i*7)%(len(pd.Nodes)-1)
 					if pd.Nodes[ordCtx].Type == xmltree.AttributeNode {
-						ordCtx = pd.Nodes[ordCtx].Parent.Ord
+						ordCtx = int(pd.Nodes[ordCtx].Parent.Ord)
 					}
 				}
 				comparePair(t, query, pd, cd, func(d *xmltree.Document) evalctx.Context {

@@ -51,7 +51,7 @@ func CacheKey(d *xmltree.Document, query, engineName string, ctx evalctx.Context
 		DocFP:   d.Fingerprint(),
 		Plan:    query,
 		Engine:  engineName,
-		CtxOrd:  ctx.Node.Ord,
+		CtxOrd:  int(ctx.Node.Ord),
 		CtxPos:  ctx.Pos,
 		CtxSize: ctx.Size,
 	}

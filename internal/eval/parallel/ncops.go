@@ -52,7 +52,7 @@ func buildNCIndex(doc *xmltree.Document) *ncIndex {
 		doc:    doc,
 		parent: make([]int32, n),
 	}
-	maxPre := 0
+	var maxPre int32
 	for _, nd := range doc.Nodes {
 		if nd.Type != xmltree.AttributeNode && nd.Pre > maxPre {
 			maxPre = nd.Pre
@@ -65,12 +65,12 @@ func buildNCIndex(doc *xmltree.Document) *ncIndex {
 	depth := 0
 	for _, nd := range doc.Nodes {
 		if nd.Parent != nil {
-			ix.parent[nd.Ord] = int32(nd.Parent.Ord)
+			ix.parent[nd.Ord] = nd.Parent.Ord
 		} else {
 			ix.parent[nd.Ord] = -1
 		}
 		if nd.Type != xmltree.AttributeNode {
-			ix.preOf[nd.Pre] = int32(nd.Ord)
+			ix.preOf[nd.Pre] = nd.Ord
 			if d := nd.Depth(); d > depth {
 				depth = d
 			}
@@ -202,7 +202,7 @@ func (e *evaluator) ancestorRMQ(ix *ncIndex, s nodeset.Set, orSelf bool) nodeset
 	var attrOwners []int
 	s.ForEachOrd(func(i int) {
 		if e.doc.Nodes[i].Type == xmltree.AttributeNode {
-			attrOwners = append(attrOwners, e.doc.Nodes[i].Parent.Ord)
+			attrOwners = append(attrOwners, int(e.doc.Nodes[i].Parent.Ord))
 		}
 	})
 	if len(attrOwners) > 0 {
@@ -222,7 +222,7 @@ func (e *evaluator) ancestorRMQ(ix *ncIndex, s nodeset.Set, orSelf bool) nodeset
 		for p := lo; p < hi; p++ {
 			base[p] = inf
 			if ord := ix.preOf[p]; ord >= 0 && seed.HasOrd(int(ord)) {
-				base[p] = int32(e.doc.Nodes[ord].Post)
+				base[p] = e.doc.Nodes[ord].Post
 			}
 		}
 	})
@@ -274,11 +274,11 @@ func (e *evaluator) ancestorRMQ(ix *ncIndex, s nodeset.Set, orSelf bool) nodeset
 			// (Post < nd.Post) or wholly after it (Post > nd.Post), so a
 			// suffix range-min with the ≤/< test decides membership.
 			if orSelf {
-				if rangeMin(nd.Pre, npre) <= int32(nd.Post) {
+				if rangeMin(int(nd.Pre), npre) <= nd.Post {
 					out.AddOrd(i)
 				}
 			} else {
-				if rangeMin(nd.Pre+1, npre) < int32(nd.Post) {
+				if rangeMin(int(nd.Pre)+1, npre) < nd.Post {
 					out.AddOrd(i)
 				}
 			}

@@ -158,7 +158,7 @@ func addMemberAttrs(out, s Set) {
 	nodes := s.Doc.Nodes
 	s.ForEachOrd(func(i int) {
 		for _, a := range nodes[i].Attrs {
-			out.AddOrd(a.Ord)
+			out.AddOrd(int(a.Ord))
 		}
 	})
 }
@@ -197,8 +197,8 @@ func orAttrsBelow(ix *xmltree.Index, out Set, maxOrd int) {
 		return
 	}
 	for _, n := range out.Doc.Nodes {
-		if n.Type == xmltree.AttributeNode && n.Ord < maxOrd {
-			out.AddOrd(n.Ord)
+		if n.Type == xmltree.AttributeNode && int(n.Ord) < maxOrd {
+			out.AddOrd(int(n.Ord))
 		}
 	}
 }
@@ -271,7 +271,7 @@ func testWords(ix *xmltree.Index, principal xmltree.NodeType, t ast.NodeTest) []
 	set := func(ord int) { words[ord>>6] |= 1 << (uint(ord) & 63) }
 	mark := func(nodes []*xmltree.Node) {
 		for _, m := range nodes {
-			set(m.Ord)
+			set(int(m.Ord))
 		}
 	}
 	switch t.Kind {
@@ -294,7 +294,7 @@ func testWords(ix *xmltree.Index, principal xmltree.NodeType, t ast.NodeTest) []
 	case ast.TestPI:
 		for _, m := range ix.ProcInsts() {
 			if t.Name == "" || m.Name == t.Name {
-				set(m.Ord)
+				set(int(m.Ord))
 			}
 		}
 	case ast.TestNode:
@@ -310,11 +310,7 @@ func LabelSet(doc *xmltree.Document, l string) Set { return LabelSetArena(nil, d
 // LabelSetArena is LabelSet allocating through ar.
 func LabelSetArena(ar *Arena, doc *xmltree.Document, l string) Set {
 	o := ar.New(doc)
-	for i, n := range doc.Nodes {
-		if n.HasLabel(l) {
-			o.AddOrd(i)
-		}
-	}
+	doc.EachLabeled(l, func(ord int) { o.AddOrd(ord) })
 	return o
 }
 
@@ -335,7 +331,7 @@ func childSet(ar *Arena, ix *xmltree.Index, s Set) Set {
 		if n.Type == xmltree.AttributeNode {
 			continue
 		}
-		if n.Parent != nil && s.HasOrd(n.Parent.Ord) {
+		if n.Parent != nil && s.HasOrd(int(n.Parent.Ord)) {
 			o.AddOrd(i)
 		}
 	}
@@ -356,7 +352,7 @@ func parentSet(ar *Arena, ix *xmltree.Index, s Set) Set {
 	nodes := s.Doc.Nodes
 	s.ForEachOrd(func(i int) {
 		if p := nodes[i].Parent; p != nil {
-			o.AddOrd(p.Ord)
+			o.AddOrd(int(p.Ord))
 		}
 	})
 	return o
@@ -385,7 +381,7 @@ func descendantSet(ar *Arena, ix *xmltree.Index, s Set, orSelf bool) Set {
 			if n.Type == xmltree.AttributeNode {
 				continue
 			}
-			if n.Parent != nil && (s.HasOrd(n.Parent.Ord) || o.HasOrd(n.Parent.Ord)) {
+			if n.Parent != nil && (s.HasOrd(int(n.Parent.Ord)) || o.HasOrd(int(n.Parent.Ord))) {
 				o.AddOrd(i)
 			}
 		}
@@ -414,7 +410,7 @@ func ancestorSet(ar *Arena, ix *xmltree.Index, s Set, orSelf bool) Set {
 		nodes := s.Doc.Nodes
 		for i := len(nodes) - 1; i >= 0; i-- {
 			if (s.HasOrd(i) || o.HasOrd(i)) && nodes[i].Parent != nil {
-				o.AddOrd(nodes[i].Parent.Ord)
+				o.AddOrd(int(nodes[i].Parent.Ord))
 			}
 		}
 	}
@@ -482,9 +478,9 @@ func markSiblings(ix *xmltree.Index, s Set, o Set, reverse bool) {
 			seen := false
 			for _, c := range kids {
 				if seen {
-					o.AddOrd(c.Ord)
+					o.AddOrd(int(c.Ord))
 				}
-				if s.HasOrd(c.Ord) {
+				if s.HasOrd(int(c.Ord)) {
 					seen = true
 				}
 			}
@@ -493,9 +489,9 @@ func markSiblings(ix *xmltree.Index, s Set, o Set, reverse bool) {
 			for i := len(kids) - 1; i >= 0; i-- {
 				c := kids[i]
 				if seen {
-					o.AddOrd(c.Ord)
+					o.AddOrd(int(c.Ord))
 				}
-				if s.HasOrd(c.Ord) {
+				if s.HasOrd(int(c.Ord)) {
 					seen = true
 				}
 			}
@@ -537,13 +533,13 @@ func splitAttrs(ar *Arena, s Set) (tree Set, ownersKids *Set) {
 			tree.AddOrd(i)
 			return
 		}
-		tree.AddOrd(n.Parent.Ord)
+		tree.AddOrd(int(n.Parent.Ord))
 		if ownersKids == nil {
 			k := ar.New(s.Doc)
 			ownersKids = &k
 		}
 		for _, c := range n.Parent.Children {
-			ownersKids.AddOrd(c.Ord)
+			ownersKids.AddOrd(int(c.Ord))
 		}
 	})
 	return tree, ownersKids
@@ -592,7 +588,7 @@ func attributeInverseSet(ar *Arena, ix *xmltree.Index, s Set) Set {
 	nodes := s.Doc.Nodes
 	s.ForEachOrd(func(i int) {
 		if n := nodes[i]; n.Type == xmltree.AttributeNode {
-			o.AddOrd(n.Parent.Ord)
+			o.AddOrd(int(n.Parent.Ord))
 		}
 	})
 	return o
@@ -614,8 +610,8 @@ func addAttrsWithOwnerIn(ix *xmltree.Index, out, ownerSet Set) Set {
 		return out
 	}
 	for _, n := range out.Doc.Nodes {
-		if n.Type == xmltree.AttributeNode && ownerSet.HasOrd(n.Parent.Ord) {
-			out.AddOrd(n.Ord)
+		if n.Type == xmltree.AttributeNode && ownerSet.HasOrd(int(n.Parent.Ord)) {
+			out.AddOrd(int(n.Ord))
 		}
 	}
 	return out

@@ -63,7 +63,7 @@ func refApplyAxis(d *xmltree.Document, a ast.Axis, s Set) refSet {
 	out := refSet{}
 	s.ForEachOrd(func(i int) {
 		for _, m := range axes.Nodes(a, d.Nodes[i]) {
-			out[m.Ord] = true
+			out[int(m.Ord)] = true
 		}
 	})
 	return out
@@ -75,7 +75,7 @@ func refApplyInverse(d *xmltree.Document, a ast.Axis, s Set) refSet {
 	for _, n := range d.Nodes {
 		for _, m := range members {
 			if axes.Reachable(a, n, m) {
-				out[n.Ord] = true
+				out[int(n.Ord)] = true
 				break
 			}
 		}

@@ -92,7 +92,7 @@ func (s Set) AddOrd(i int) { s.Words[i>>6] |= 1 << (uint(i) & 63) }
 func (s Set) ClearOrd(i int) { s.Words[i>>6] &^= 1 << (uint(i) & 63) }
 
 // Has reports membership.
-func (s Set) Has(n *xmltree.Node) bool { return s.HasOrd(n.Ord) }
+func (s Set) Has(n *xmltree.Node) bool { return s.HasOrd(int(n.Ord)) }
 
 // HasOrd reports membership of the node with document order i.
 func (s Set) HasOrd(i int) bool { return s.Words[i>>6]>>(uint(i)&63)&1 != 0 }

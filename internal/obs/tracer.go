@@ -127,7 +127,7 @@ func (t *Tracer) Enter(expr ast.Expr, ctx evalctx.Context, ctr *evalctx.Counter)
 	}
 	ord := -1
 	if ctx.Node != nil {
-		ord = ctx.Node.Ord
+		ord = int(ctx.Node.Ord)
 	}
 	t.sink.Event(Event{
 		Seq: t.seq.Add(1), Kind: EnterEvent, Engine: t.engine,

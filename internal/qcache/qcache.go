@@ -555,7 +555,7 @@ func copyValue(v value.Value, doc *xmltree.Document) value.Value {
 	}
 	out := make(value.NodeSet, len(ns))
 	for i, n := range ns {
-		if doc != nil && n.Document() != doc && n.Ord < len(doc.Nodes) {
+		if doc != nil && n.Document() != doc && int(n.Ord) < len(doc.Nodes) {
 			out[i] = doc.Nodes[n.Ord]
 		} else {
 			out[i] = n

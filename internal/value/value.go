@@ -92,7 +92,7 @@ func NodeSetFromOrdered(nodes []*xmltree.Node) NodeSet { return NodeSet(nodes) }
 
 func (ns *NodeSet) normalize() {
 	s := *ns
-	slices.SortFunc(s, func(a, b *xmltree.Node) int { return a.Ord - b.Ord })
+	slices.SortFunc(s, func(a, b *xmltree.Node) int { return int(a.Ord - b.Ord) })
 	out := s[:0]
 	for i, n := range s {
 		if i == 0 || s[i-1] != n {

@@ -357,7 +357,7 @@ func (m *machine) exec(ctx evalctx.Context) (value.Value, error) {
 			}
 			return value.NodeSetFromOrdered(m.dense.Nodes()), nil
 		case OpRetBool:
-			return value.Boolean(m.slots[in.A].HasOrd(ctx.Node.Ord)), nil
+			return value.Boolean(m.slots[in.A].HasOrd(int(ctx.Node.Ord))), nil
 		case OpCondPos:
 			if err := m.condPos(in); err != nil {
 				return nil, err
@@ -489,7 +489,7 @@ func (m *machine) ensureDense() {
 func (m *machine) filterSparse(cond nodeset.Set) {
 	kept := m.list[:0]
 	for _, n := range m.list {
-		if cond.HasOrd(n.Ord) {
+		if cond.HasOrd(int(n.Ord)) {
 			kept = append(kept, n)
 		}
 	}
@@ -711,13 +711,13 @@ func (m *machine) rankFilter(cm counting.Cmp, base nodeset.Set) {
 		}
 		last := 0
 		for k := i; k < j; k++ {
-			if !hasBase || base.HasOrd(list[k].Ord) {
+			if !hasBase || base.HasOrd(int(list[k].Ord)) {
 				last++
 			}
 		}
 		rank := 0
 		for k := i; k < j; k++ {
-			if hasBase && !base.HasOrd(list[k].Ord) {
+			if hasBase && !base.HasOrd(int(list[k].Ord)) {
 				continue
 			}
 			rank++
@@ -743,7 +743,7 @@ func (m *machine) selectSparse(a ast.Axis, ti uint16, list, out []*xmltree.Node)
 	switch a {
 	case ast.AxisSelf:
 		for _, n := range list {
-			if ts.HasOrd(n.Ord) {
+			if ts.HasOrd(int(n.Ord)) {
 				out = append(out, n)
 			}
 		}
@@ -751,7 +751,7 @@ func (m *machine) selectSparse(a ast.Axis, ti uint16, list, out []*xmltree.Node)
 		// Distinct frontier nodes have disjoint child lists: no dedup.
 		for _, n := range list {
 			for _, c := range n.Children {
-				if ts.HasOrd(c.Ord) {
+				if ts.HasOrd(int(c.Ord)) {
 					out = append(out, c)
 				}
 			}
@@ -759,7 +759,7 @@ func (m *machine) selectSparse(a ast.Axis, ti uint16, list, out []*xmltree.Node)
 	case ast.AxisAttribute:
 		for _, n := range list {
 			for _, at := range n.Attrs {
-				if ts.HasOrd(at.Ord) {
+				if ts.HasOrd(int(at.Ord)) {
 					out = append(out, at)
 				}
 			}
@@ -767,7 +767,7 @@ func (m *machine) selectSparse(a ast.Axis, ti uint16, list, out []*xmltree.Node)
 	case ast.AxisParent:
 		m.ensureMarks()
 		for _, n := range list {
-			if p := n.Parent; p != nil && !m.marks[p.Ord] && ts.HasOrd(p.Ord) {
+			if p := n.Parent; p != nil && !m.marks[p.Ord] && ts.HasOrd(int(p.Ord)) {
 				m.marks[p.Ord] = true
 				out = append(out, p)
 			}
@@ -783,7 +783,7 @@ func (m *machine) selectSparse(a ast.Axis, ti uint16, list, out []*xmltree.Node)
 		vb := m.nodeBuf(&m.visBuf)
 		visited := (*vb)[:0]
 		for _, n := range list {
-			j := int32(n.Ord)
+			j := n.Ord
 			if a == ast.AxisAncestor {
 				j = par[n.Ord]
 			}
@@ -795,7 +795,7 @@ func (m *machine) selectSparse(a ast.Axis, ti uint16, list, out []*xmltree.Node)
 		*vb = visited
 		for _, v := range visited {
 			m.marks[v.Ord] = false
-			if ts.HasOrd(v.Ord) {
+			if ts.HasOrd(int(v.Ord)) {
 				out = append(out, v)
 			}
 		}
@@ -814,7 +814,7 @@ func (m *machine) selectSparse(a ast.Axis, ti uint16, list, out []*xmltree.Node)
 		*vb = visited
 		for _, v := range visited {
 			m.marks[v.Ord] = false
-			if ts.HasOrd(v.Ord) {
+			if ts.HasOrd(int(v.Ord)) {
 				out = append(out, v)
 			}
 		}
@@ -882,7 +882,7 @@ func (m *machine) pruneNested(list []*xmltree.Node) []*xmltree.Node {
 	sorted := append((*pb)[:0], list...)
 	*pb = sorted
 	if !inOrder {
-		slices.SortFunc(sorted, func(a, b *xmltree.Node) int { return a.Pre - b.Pre })
+		slices.SortFunc(sorted, func(a, b *xmltree.Node) int { return int(a.Pre - b.Pre) })
 	}
 	out := sorted[:0]
 	for _, n := range sorted {

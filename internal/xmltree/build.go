@@ -2,7 +2,7 @@ package xmltree
 
 import (
 	"fmt"
-	"maps"
+	"math"
 )
 
 // Elem constructs an element node with the given tag and children. The
@@ -68,12 +68,30 @@ func NewDocument(rootChildren ...*Node) *Document {
 // number assigns Parent, SiblingIdx, Ord, Pre and Post over the tree
 // under d.Root, depth-first with its own stack (depth costs no Go
 // stack). It is the single build entry point of the document model, so
-// it also drops any cached index, fingerprint and link core.
+// it also drops any cached index, fingerprint and link core. Each node
+// brings along the labels the document it was last numbered in (or its
+// holder, for a loose node) keeps under its old Ord.
 func (d *Document) number() {
 	d.invalidateIndex()
 	d.invalidateFingerprint()
 	d.resetCore()
 	d.Nodes = d.Nodes[:0]
+	prev := d.labels
+	d.labels = nil
+	take := func(n *Node, ord int) {
+		checkOrdWidth(ord + 1)
+		if from := n.doc; from != nil {
+			src := from.labels
+			if from == d {
+				src = prev
+			}
+			if int(n.Ord) < len(src) && len(src[n.Ord]) > 0 {
+				d.setLabels(ord, src[n.Ord])
+			}
+		}
+		n.doc = d
+		n.Ord = int32(ord)
+	}
 	pre, post := 0, 0
 	type frame struct {
 		n    *Node
@@ -81,19 +99,21 @@ func (d *Document) number() {
 	}
 	var stack []frame
 	enter := func(n *Node) {
-		n.doc = d
-		n.Pre = pre
+		take(n, len(d.Nodes))
+		if n.Type == ElementNode {
+			d.elems++
+		}
+		d.attrs += len(n.Attrs)
+		n.Pre = int32(pre)
 		pre++
-		n.Ord = len(d.Nodes)
 		d.Nodes = append(d.Nodes, n)
 		for i, a := range n.Attrs {
 			if a.Type != AttributeNode {
 				panic(fmt.Sprintf("xmltree: non-attribute node %v in Attrs of %q", a.Type, n.Name))
 			}
-			a.doc = d
+			take(a, len(d.Nodes))
 			a.Parent = n
-			a.SiblingIdx = i
-			a.Ord = len(d.Nodes)
+			a.SiblingIdx = int32(i)
 			// Attributes share the owner's pre/post interval so that
 			// ancestor-or-self style interval tests behave sensibly.
 			a.Pre = n.Pre
@@ -109,11 +129,11 @@ func (d *Document) number() {
 			top.next++
 			c := n.Children[i]
 			c.Parent = n
-			c.SiblingIdx = i
+			c.SiblingIdx = int32(i)
 			enter(c)
 			continue
 		}
-		n.Post = post
+		n.Post = int32(post)
 		post++
 		for _, a := range n.Attrs {
 			a.Post = n.Post
@@ -122,13 +142,25 @@ func (d *Document) number() {
 	}
 }
 
+// checkOrdWidth refuses a document of n nodes when an int32 Ord cannot
+// number them all: number checks each node before it assigns its Ord,
+// so an oversized tree panics instead of wrapping, and NewColumnar
+// checks its node count.
+func checkOrdWidth(n int) {
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("xmltree: document of %d nodes exceeds the columnar ord width", n))
+	}
+}
+
 // Copy returns a deep copy of the document. The copy is independently
 // numbered and safe to mutate before re-finalizing.
 func (d *Document) Copy() *Document {
+	// A clone claims the source document and the original's Ord, so
+	// number carries the original's labels over.
 	clone := func(n *Node) *Node {
-		m := &Node{Type: n.Type, Name: n.Name, Data: n.Data, labels: maps.Clone(n.labels)}
+		m := &Node{Type: n.Type, Name: n.Name, Data: n.Data, Ord: n.Ord, doc: d}
 		for _, a := range n.Attrs {
-			m.Attrs = append(m.Attrs, &Node{Type: a.Type, Name: a.Name, Data: a.Data, labels: maps.Clone(a.labels)})
+			m.Attrs = append(m.Attrs, &Node{Type: a.Type, Name: a.Name, Data: a.Data, Ord: a.Ord, doc: d})
 		}
 		return m
 	}

@@ -1,8 +1,6 @@
 package xmltree
 
 import (
-	"fmt"
-	"math"
 	"strings"
 	"unsafe"
 )
@@ -59,26 +57,29 @@ func (f *flat) copyFlat() flat {
 // Node slab, child and attribute slices carved from two shared backings
 // (attributes sit at the ords right after their owner, children are
 // walked along the sibling links), name and data strings aliasing names
-// and blob. It returns the document and the number of child and
-// attribute slots it carved.
-func (f *flat) hydrate(blob string, names []string) (d *Document, nchild, nattr int) {
+// and blob. The document's node-kind counts are set on the way.
+func (f *flat) hydrate(blob string, names []string) *Document {
 	kind, label, parent := f.kind, f.label, f.parent
 	firstChild, nextSibling := f.firstChild, f.nextSibling
 	pre, post, dataOff := f.pre, f.post, f.dataOff
 	n := len(kind)
 	label, parent, firstChild, pre, post = label[:n], parent[:n], firstChild[:n], pre[:n], post[:n]
 	dataOff = dataOff[:n+1]
+	var nelem, nattr int
 	for _, k := range kind {
-		if k == AttributeNode {
+		switch k {
+		case ElementNode:
+			nelem++
+		case AttributeNode:
 			nattr++
 		}
 	}
-	nchild = n - 1 - nattr // every node but the root and the attributes is a child
 	slab := make([]Node, n)
 	nodes := make([]*Node, n)
-	childBacking := make([]*Node, nchild)
+	childBacking := make([]*Node, n-1-nattr) // every node but the root and the attributes is a child
 	attrBacking := make([]*Node, nattr)
-	d = &Document{Root: &slab[0], Nodes: nodes}
+	d := &Document{Root: &slab[0], Nodes: nodes}
+	d.elems, d.attrs = nelem, nattr
 	ci, ai := 0, 0
 	for ord := range slab {
 		m := &slab[ord]
@@ -91,9 +92,9 @@ func (f *flat) hydrate(blob string, names []string) (d *Document, nchild, nattr 
 		if lo, hi := dataOff[ord], dataOff[ord+1]; lo < hi {
 			m.Data = blob[lo:hi]
 		}
-		m.Pre = int(pre[ord])
-		m.Post = int(post[ord])
-		m.Ord = ord
+		m.Pre = pre[ord]
+		m.Post = post[ord]
+		m.Ord = int32(ord)
 		m.doc = d
 		if p := parent[ord]; p >= 0 {
 			m.Parent = &slab[p]
@@ -104,7 +105,7 @@ func (f *flat) hydrate(blob string, names []string) (d *Document, nchild, nattr 
 		if a := ord + 1; a < n && kind[a] == AttributeNode {
 			start := ai
 			for ; a < n && kind[a] == AttributeNode; a++ {
-				slab[a].SiblingIdx = ai - start
+				slab[a].SiblingIdx = int32(ai - start)
 				attrBacking[ai] = &slab[a]
 				ai++
 			}
@@ -113,14 +114,14 @@ func (f *flat) hydrate(blob string, names []string) (d *Document, nchild, nattr 
 		if c := firstChild[ord]; c >= 0 {
 			start := ci
 			for ; c >= 0; c = nextSibling[c] {
-				slab[c].SiblingIdx = ci - start
+				slab[c].SiblingIdx = int32(ci - start)
 				childBacking[ci] = &slab[c]
 				ci++
 			}
 			m.Children = childBacking[start:ci:ci]
 		}
 	}
-	return d, nchild, nattr
+	return d
 }
 
 // ordLists groups the element and attribute ords of the arrays by name,
@@ -230,9 +231,7 @@ type Columnar struct {
 // pointer tree go to the collector.
 func NewColumnar(d *Document) *Columnar {
 	n := len(d.Nodes)
-	if n > math.MaxInt32 {
-		panic(fmt.Sprintf("xmltree: document of %d nodes exceeds the columnar ord width", n))
-	}
+	checkOrdWidth(n)
 	c := &Columnar{flat: newFlat(n), fp: d.Fingerprint()}
 	intern := make(map[string]int32)
 	internName := func(s string) int32 {
@@ -247,23 +246,26 @@ func NewColumnar(d *Document) *Columnar {
 	var blob strings.Builder
 	for ord, m := range d.Nodes {
 		c.kind[ord] = m.Type
-		c.pre[ord] = int32(m.Pre)
-		c.post[ord] = int32(m.Post)
+		c.pre[ord] = m.Pre
+		c.post[ord] = m.Post
 		c.label[ord] = -1
 		if m.Name != "" || m.Type == ElementNode || m.Type == AttributeNode {
 			c.label[ord] = internName(m.Name)
 		}
 		c.dataOff[ord] = uint32(blob.Len())
 		blob.WriteString(m.Data)
-		if ls := m.Labels(); len(ls) > 0 {
+	}
+	c.dataOff[n] = uint32(blob.Len())
+	c.blob = blob.String()
+	// Label lists are never written in place, so the store shares them.
+	for ord, ls := range d.labels {
+		if len(ls) > 0 {
 			if c.extraLabels == nil {
 				c.extraLabels = make(map[int32][]string)
 			}
 			c.extraLabels[int32(ord)] = ls
 		}
 	}
-	c.dataOff[n] = uint32(blob.Len())
-	c.blob = blob.String()
 	treeLinks(d.Nodes, c.links)
 	c.tagOrds, c.attrOrds = c.ordLists(c.names)
 	return c
@@ -310,13 +312,11 @@ func (c *Columnar) SizeBytes() int64 {
 // the same store is content- and order-identical: node sets cached by
 // (fingerprint, ord) remap cleanly onto any view of the store.
 func (c *Columnar) Document() *Document {
-	d, nchild, nattr := c.hydrate(c.blob, c.names)
+	d := c.hydrate(c.blob, c.names)
+	// The view gets its own table, so a label added to it later does
+	// not reach the store.
 	for ord, ls := range c.extraLabels {
-		m := d.Nodes[ord]
-		m.labels = make(map[string]bool, len(ls))
-		for _, l := range ls {
-			m.labels[l] = true
-		}
+		d.setLabels(int(ord), ls)
 	}
 	// Prime the fingerprint from the store and lend the view the
 	// store's link core: the view never recomputes what the encoding
@@ -326,19 +326,21 @@ func (c *Columnar) Document() *Document {
 	d.links = c.links
 	d.tagOrds, d.attrOrds = c.tagOrds, c.attrOrds
 	d.col = c
-	d.viewBytes = c.viewBytes(len(c.kind), nchild, nattr)
+	d.viewBytes = c.viewBytes(len(c.kind))
 	return d
 }
 
-// viewBytes is the resident cost of one hydrated view over this store:
-// the Node slab, the two carved backings and the Nodes pointer slice.
-// Strings alias the store's interned tables and are not charged again.
-func (c *Columnar) viewBytes(n, totChild, totAttr int) int64 {
+// viewBytes is the resident cost of one hydrated view of n nodes over
+// this store: the Node slab, the two carved backings (every node but
+// the root fills one child or attribute slot) and the Nodes pointer
+// slice. Strings alias the store's interned tables and are not charged
+// again.
+func (c *Columnar) viewBytes(n int) int64 {
 	const (
 		nodeSize = int64(unsafe.Sizeof(Node{}))
 		ptrSize  = int64(unsafe.Sizeof((*Node)(nil)))
 	)
-	size := int64(n)*nodeSize + int64(totChild+totAttr+n)*ptrSize
+	size := int64(n)*nodeSize + int64(n-1+n)*ptrSize
 	size += int64(len(c.extraLabels)) * 48
 	return size
 }

@@ -100,7 +100,7 @@ func fingerprintDocument(d *Document) uint64 {
 		h = fnvByte(h, byte(n.Type))
 		h = fnvString(h, n.Name)
 		h = fnvString(h, n.Data)
-		for _, l := range n.Labels() {
+		for _, l := range d.labelsOf(n.Ord) {
 			h = fnvByte(h, 'L')
 			h = fnvString(h, l)
 		}

@@ -106,11 +106,11 @@ func diffDocuments(got, want *Document) string {
 		if n == nil {
 			return -1
 		}
-		return n.Ord
+		return int(n.Ord)
 	}
 	for i, g := range got.Nodes {
 		w := want.Nodes[i]
-		if g.Ord != i || g.Document() != got {
+		if int(g.Ord) != i || g.Document() != got {
 			return fmt.Sprintf("ord %d: Ord field %d, owned by its document %v", i, g.Ord, g.Document() == got)
 		}
 		gv := fmt.Sprint(g.Type, g.Name, g.Data, ord(g.Parent), g.Pre, g.Post, g.SiblingIdx, len(g.Children), len(g.Attrs))

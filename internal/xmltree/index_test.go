@@ -50,7 +50,7 @@ func TestIndexPrePostAgreesWithWalks(t *testing.T) {
 		// Ord agrees with pre-order Walk position (attributes after owner).
 		i := 0
 		d.Root.Walk(func(n *xmltree.Node) bool {
-			if n.Ord != i {
+			if int(n.Ord) != i {
 				t.Fatalf("seed %d: walk position %d has Ord %d", seed, i, n.Ord)
 			}
 			i++
@@ -176,14 +176,14 @@ func checkLinksMirrorPointers(t *testing.T, way string, d *xmltree.Document) {
 	for _, n := range d.Nodes {
 		wantP, wantFC, wantNS := -1, -1, -1
 		if n.Parent != nil {
-			wantP = n.Parent.Ord
+			wantP = int(n.Parent.Ord)
 		}
 		if n.Type != xmltree.AttributeNode {
 			if len(n.Children) > 0 {
-				wantFC = n.Children[0].Ord
+				wantFC = int(n.Children[0].Ord)
 			}
 			if s := n.NextSibling(); s != nil {
-				wantNS = s.Ord
+				wantNS = int(s.Ord)
 			}
 		}
 		if int(parent[n.Ord]) != wantP || int(firstChild[n.Ord]) != wantFC || int(nextSibling[n.Ord]) != wantNS {

@@ -10,13 +10,14 @@
 //
 // In addition to the standard model, every node may carry a set of extra
 // labels (Remark 3.1 of the paper), used by the circuit reductions where one
-// node represents several facts at once. Labels are invisible to ordinary
+// node represents several facts at once; the document keeps them in a
+// table by Ord that only a labeled document allocates. Labels are invisible to ordinary
 // node tests and are only observed through the T(l) condition extension or
 // through the paper's own lowering T(l) ≡ child::l.
 package xmltree
 
 import (
-	"sort"
+	"slices"
 )
 
 // NodeType identifies the kind of a node in the XPath data model.
@@ -63,9 +64,28 @@ func (t NodeType) String() string {
 // Builder or one of the construction helpers (Elem, Text, ...) and become
 // immutable once the enclosing Document is built; the evaluators rely on
 // this and share documents freely across goroutines.
+//
+// The numbering fields are int32, the ord width of the document's link
+// core and of the columnar store; with Type they fill the first 24 bytes.
+// Extra labels (Remark 3.1) are not stored on the node: the document
+// keeps them in a table by Ord, read through HasLabel and Labels.
+// A Node is 120 bytes on 64-bit platforms (TestNodeLayout).
 type Node struct {
 	// Type is the node kind.
 	Type NodeType
+
+	// Pre and Post are pre- and post-order numbers over the child tree
+	// (attributes share their owner's interval): a is an ancestor of d
+	// iff a.Pre < d.Pre && a.Post > d.Post.
+	Pre, Post int32
+	// Ord is the position of the node in Document.Nodes; it is the
+	// document-order index (elements precede their attributes, which
+	// precede the element's children).
+	Ord int32
+	// SiblingIdx is the index of this node within Parent.Children
+	// (or within Parent.Attrs for attribute nodes).
+	SiblingIdx int32
+
 	// Name is the element tag, attribute name or processing-instruction
 	// target. Empty for root, text and comment nodes.
 	Name string
@@ -82,20 +102,10 @@ type Node struct {
 	// Attrs are the attribute nodes of an element, in document order.
 	Attrs []*Node
 
-	// Pre and Post are pre- and post-order numbers over the child tree
-	// (attributes share their owner's interval): a is an ancestor of d
-	// iff a.Pre < d.Pre && a.Post > d.Post.
-	Pre, Post int
-	// Ord is the position of the node in Document.Nodes; it is the
-	// document-order index (elements precede their attributes, which
-	// precede the element's children).
-	Ord int
-	// SiblingIdx is the index of this node within Parent.Children
-	// (or within Parent.Attrs for attribute nodes).
-	SiblingIdx int
-
-	labels map[string]bool
-	doc    *Document
+	// doc is the document the node was numbered in; for a loose node
+	// that carries labels it is a holder document (Root nil) parking
+	// them until the node is numbered.
+	doc *Document
 }
 
 // Document is a fully built document tree. Its Nodes slice lists every node
@@ -106,13 +116,27 @@ type Document struct {
 	// Nodes holds every node of the document in document order.
 	Nodes []*Node
 
+	// labels holds the extra labels (Remark 3.1) indexed by Ord, each
+	// list sorted and free of duplicates; nil when no node carries one,
+	// and no longer than the last labeled Ord needs. A list is never
+	// written in place once stored, so documents may share lists.
+	// Indexing beats a map keyed by Ord here: label tests scan the
+	// whole table, and a reduction document labels most of its nodes.
+	labels [][]string
+
 	indexCache
 	fpCache
 	core
 }
 
-// Document returns the document the node belongs to.
-func (n *Node) Document() *Document { return n.doc }
+// Document returns the document the node belongs to, or nil for a
+// loose node.
+func (n *Node) Document() *Document {
+	if d := n.doc; d != nil && d.Root != nil {
+		return d
+	}
+	return nil
+}
 
 // Size returns the total number of nodes in the document, the |D| of the
 // paper's complexity bounds.
@@ -131,28 +155,66 @@ func (d *Document) DocumentElement() *Node {
 
 // AddLabel attaches an extra label to the node (Remark 3.1). It must only
 // be called before the document is finalized or on reduction-built
-// documents that are not shared across goroutines yet.
+// documents that are not shared across goroutines yet. A loose node's
+// labels are parked on a holder document and move into the real one
+// when the node is numbered.
 func (n *Node) AddLabel(l string) {
-	if n.labels == nil {
-		n.labels = make(map[string]bool)
+	if n.doc == nil {
+		n.doc = &Document{}
 	}
-	n.labels[l] = true
+	n.doc.addLabel(n.Ord, l)
+}
+
+// addLabel adds l to the label list of ord, replacing the list rather
+// than writing into it.
+func (d *Document) addLabel(ord int32, l string) {
+	ls := d.labelsOf(ord)
+	i, found := slices.BinarySearch(ls, l)
+	if found {
+		return
+	}
+	d.setLabels(int(ord), slices.Insert(slices.Clip(ls), i, l))
+}
+
+// setLabels stores the label list of ord, growing the table to reach it.
+func (d *Document) setLabels(ord int, ls []string) {
+	if n := len(d.labels); ord >= n {
+		d.labels = slices.Grow(d.labels, ord+1-n)[:ord+1]
+		clear(d.labels[n:ord])
+	}
+	d.labels[ord] = ls
+}
+
+// labelsOf returns the label list of ord, nil if it has none.
+func (d *Document) labelsOf(ord int32) []string {
+	if int(ord) < len(d.labels) {
+		return d.labels[ord]
+	}
+	return nil
 }
 
 // HasLabel reports whether the node carries the extra label l.
-func (n *Node) HasLabel(l string) bool { return n.labels[l] }
+func (n *Node) HasLabel(l string) bool {
+	return n.doc != nil && slices.Contains(n.doc.labelsOf(n.Ord), l)
+}
 
 // Labels returns the node's extra labels in sorted order.
 func (n *Node) Labels() []string {
-	if len(n.labels) == 0 {
+	if n.doc == nil {
 		return nil
 	}
-	out := make([]string, 0, len(n.labels))
-	for l := range n.labels {
-		out = append(out, l)
+	return slices.Clone(n.doc.labelsOf(n.Ord))
+}
+
+// EachLabeled calls f with the Ord of every node carrying the extra
+// label l, in document order: a walk of the label table, not of the
+// nodes.
+func (d *Document) EachLabeled(l string, f func(ord int)) {
+	for ord, ls := range d.labels {
+		if slices.Contains(ls, l) {
+			f(ord)
+		}
 	}
-	sort.Strings(out)
-	return out
 }
 
 // IsAncestorOf reports whether n is a proper ancestor of m. For attribute
@@ -258,8 +320,8 @@ func (n *Node) NextSibling() *Node {
 	if p == nil || n.Type == AttributeNode {
 		return nil
 	}
-	if n.SiblingIdx+1 < len(p.Children) {
-		return p.Children[n.SiblingIdx+1]
+	if i := int(n.SiblingIdx) + 1; i < len(p.Children) {
+		return p.Children[i]
 	}
 	return nil
 }

@@ -1110,7 +1110,7 @@ func (s *scanner) document(backend string) (*Document, error) {
 		}
 		return c.Document(), nil
 	}
-	d, _, _ := s.hydrate(blob, names)
+	d := s.hydrate(blob, names)
 	d.fp.Store(s.fp)
 	d.fpSet.Store(true)
 	// The scan's arrays are pooled: the link core gets its own copy.

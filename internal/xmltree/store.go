@@ -79,16 +79,16 @@ func treeLinks(nodes []*Node, l links) {
 	for ord, m := range nodes {
 		l.parent[ord], l.firstChild[ord], l.nextSibling[ord] = -1, -1, -1
 		if m.Parent != nil {
-			l.parent[ord] = int32(m.Parent.Ord)
+			l.parent[ord] = m.Parent.Ord
 		}
 		if m.Type == AttributeNode {
 			continue
 		}
 		if len(m.Children) > 0 {
-			l.firstChild[ord] = int32(m.Children[0].Ord)
+			l.firstChild[ord] = m.Children[0].Ord
 		}
 		if s := m.NextSibling(); s != nil {
-			l.nextSibling[ord] = int32(s.Ord)
+			l.nextSibling[ord] = s.Ord
 		}
 	}
 }
@@ -130,6 +130,9 @@ type core struct {
 	// treeBytes caches the measured footprint of a pointer document's
 	// node graph; 0 until first measured.
 	treeBytes atomic.Int64
+	// elems and attrs count the element and attribute nodes, set by
+	// every build route: what the index's size follows from.
+	elems, attrs int
 }
 
 // resetCore drops the link core and the backend association; called
@@ -141,6 +144,7 @@ func (d *Document) resetCore() {
 	d.col = nil
 	d.viewBytes = 0
 	d.treeBytes.Store(0)
+	d.elems, d.attrs = 0, 0
 }
 
 // Columnar returns the columnar store behind a hydrated view, or nil
@@ -182,11 +186,34 @@ func (d *Document) StoreSizeBytes() int64 {
 }
 
 // ResidentBytes is the full resident footprint of this document as
-// held: the storage encoding plus, for hydrated columnar documents, the
-// node-handle slab serving evaluation. Pointer-backed documents report
-// their tree once (store and view are the same memory). The index is
-// not counted.
-func (d *Document) ResidentBytes() int64 { return d.StoreSizeBytes() + d.viewBytes }
+// held: the storage encoding; for a hydrated columnar document, the
+// node-handle slab serving evaluation; for a pointer document, the link
+// core it owns (a columnar view's links belong to its store); and the
+// index's node lists and attribute mask. The index share is computed
+// from the node-kind counts, so a document is charged the same before
+// and after its index is first built.
+func (d *Document) ResidentBytes() int64 {
+	size := d.StoreSizeBytes() + d.viewBytes + d.indexBytes()
+	if d.col == nil {
+		size += int64(len(d.Nodes)) * 3 * 4 // parent, firstChild, nextSibling
+	}
+	return size
+}
+
+// indexBytes is the footprint of the document's index: the Index
+// struct, the per-tag and per-attribute node lists (one backing each),
+// the per-kind lists, the tree-node list and the attribute mask, as
+// buildIndex allocates them. The two name maps' entries and the
+// node-test bitsets built on demand are not counted.
+func (d *Document) indexBytes() int64 {
+	const ptrSize = int64(unsafe.Sizeof((*Node)(nil)))
+	n, elems, attrs := int64(len(d.Nodes)), int64(d.elems), int64(d.attrs)
+	slots := elems + attrs // elemsByTag, attrsByName
+	slots += n - 1 - attrs // elements, texts, comments, procInsts
+	slots += n - attrs     // treeNodes
+	mask := ((n + 63) >> 6) * 8
+	return int64(unsafe.Sizeof(Index{})) + slots*ptrSize + mask
+}
 
 // treeSizeBytes measures the node graph once: Node structs, slice
 // backings, string payloads (each node's name counted in full, though a
@@ -199,7 +226,7 @@ func (d *Document) treeSizeBytes() int64 {
 	const (
 		nodeSize    = int64(unsafe.Sizeof(Node{}))
 		ptrSize     = int64(unsafe.Sizeof((*Node)(nil)))
-		labelEntry  = 48 // map bucket share + string header, coarse
+		labelEntry  = 48 // per label: string header and list slot, coarse
 		sliceHeader = int64(unsafe.Sizeof([]*Node{}))
 	)
 	size := sliceHeader + int64(cap(d.Nodes))*ptrSize
@@ -207,7 +234,10 @@ func (d *Document) treeSizeBytes() int64 {
 		size += nodeSize
 		size += int64(cap(n.Children))*ptrSize + int64(cap(n.Attrs))*ptrSize
 		size += int64(len(n.Name) + len(n.Data))
-		size += int64(len(n.labels)) * labelEntry
+	}
+	size += int64(cap(d.labels)) * sliceHeader
+	for _, ls := range d.labels {
+		size += int64(len(ls)) * labelEntry
 	}
 	d.treeBytes.Store(size)
 	return size

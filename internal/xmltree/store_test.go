@@ -60,7 +60,7 @@ func diffIndexes(got, want *Index) string {
 	ords := func(l []*Node) []int {
 		out := make([]int, len(l))
 		for i, n := range l {
-			out[i] = n.Ord
+			out[i] = int(n.Ord)
 		}
 		return out
 	}
@@ -106,7 +106,7 @@ func checkCoreAgainstTree(t *testing.T, d, view *Document) {
 	}
 	for ord, n := range view.Nodes {
 		m := d.Nodes[ord]
-		if m.Ord != ord || m.Type != n.Type || m.Name != n.Name || m.Data != n.Data || m.Pre != n.Pre || m.Post != n.Post {
+		if int(m.Ord) != ord || m.Type != n.Type || m.Name != n.Name || m.Data != n.Data || m.Pre != n.Pre || m.Post != n.Post {
 			t.Fatalf("ord %d: {%d %v %q %q pre=%d post=%d}, want {%d %v %q %q pre=%d post=%d}",
 				ord, m.Ord, m.Type, m.Name, m.Data, m.Pre, m.Post, n.Ord, n.Type, n.Name, n.Data, n.Pre, n.Post)
 		}
@@ -115,21 +115,21 @@ func checkCoreAgainstTree(t *testing.T, d, view *Document) {
 		}
 		wantParent := -1
 		if n.Parent != nil {
-			wantParent = n.Parent.Ord
+			wantParent = int(n.Parent.Ord)
 		}
 		if got := int(parent[ord]); got != wantParent {
 			t.Fatalf("ord %d: parent = %d, want %d", ord, got, wantParent)
 		}
 		wantFC := -1
 		if n.Type != AttributeNode && len(n.Children) > 0 {
-			wantFC = n.Children[0].Ord
+			wantFC = int(n.Children[0].Ord)
 		}
 		if got := int(firstChild[ord]); got != wantFC {
 			t.Fatalf("ord %d: first child = %d, want %d", ord, got, wantFC)
 		}
 		wantNS := -1
 		if sib := n.NextSibling(); sib != nil {
-			wantNS = sib.Ord
+			wantNS = int(sib.Ord)
 		}
 		if got := int(nextSibling[ord]); got != wantNS {
 			t.Fatalf("ord %d: next sibling = %d, want %d", ord, got, wantNS)
@@ -149,7 +149,7 @@ func checkCoreAgainstTree(t *testing.T, d, view *Document) {
 	ords := func(l []*Node) []int {
 		out := make([]int, len(l))
 		for i, n := range l {
-			out[i] = n.Ord
+			out[i] = int(n.Ord)
 		}
 		return out
 	}
@@ -228,7 +228,7 @@ func TestColumnarHydrationFaithful(t *testing.T) {
 				}
 				for ord, n := range h.Nodes {
 					m := d.Nodes[ord]
-					if n.Ord != ord || n.Type != m.Type || n.Name != m.Name || n.Data != m.Data ||
+					if int(n.Ord) != ord || n.Type != m.Type || n.Name != m.Name || n.Data != m.Data ||
 						n.Pre != m.Pre || n.Post != m.Post || n.SiblingIdx != m.SiblingIdx {
 						t.Fatalf("ord %d: hydrated {%v %q %q pre=%d post=%d sib=%d}, want {%v %q %q pre=%d post=%d sib=%d}",
 							ord, n.Type, n.Name, n.Data, n.Pre, n.Post, n.SiblingIdx,
@@ -349,22 +349,34 @@ func TestStoreSizeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The document has 6 118 nodes. A pointer document's store is its
+	// node graph (the tree figure); a columnar document's resident
+	// figure adds the hydrated view (832 040 B). ResidentBytes adds the
+	// index's node lists and attribute mask (123 456 B) and, for a
+	// pointer document, its 12 B/node link core.
 	for _, c := range []struct {
 		name            string
 		doc             *Document
 		store, resident int64
 	}{
-		{"tree", d, 998192, 998192},
-		{"compact", Compact(d), 205128, 1184000},
-		{"pointer parse", pd, 991824, 991824},
-		{"columnar parse", cpd, 205128, 1184000},
+		{"tree", d, 851360, 1048232},
+		{"compact", Compact(d), 205128, 1160624},
+		{"pointer parse", pd, 844992, 1041864},
+		{"columnar parse", cpd, 205128, 1160624},
 	} {
-		c.doc.Index() // the index is not part of either figure
+		before := c.doc.ResidentBytes()
+		c.doc.Index() // charged from the node-kind counts, built or not
 		if got := c.doc.StoreSizeBytes(); got != c.store {
 			t.Errorf("%s: StoreSizeBytes = %d, want %d", c.name, got, c.store)
 		}
-		if got := c.doc.ResidentBytes(); got != c.resident {
-			t.Errorf("%s: ResidentBytes = %d, want %d", c.name, got, c.resident)
+		if got := c.doc.ResidentBytes(); got != c.resident || got != before {
+			t.Errorf("%s: ResidentBytes = %d (%d before the index), want %d", c.name, got, before, c.resident)
+		}
+		if got := c.doc.indexBytes(); got != 123456 {
+			t.Errorf("%s: index share = %d, want 123456", c.name, got)
+		}
+		if c.doc.Backend() == BackendColumnar && c.doc.viewBytes != 832040 {
+			t.Errorf("%s: view = %d, want 832040", c.name, c.doc.viewBytes)
 		}
 	}
 	pointerBytes, storeBytes := pd.StoreSizeBytes(), cpd.StoreSizeBytes()

@@ -1,6 +1,8 @@
 package xmltree
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -100,7 +102,7 @@ func TestDocumentOrder(t *testing.T) {
 		t.Fatalf("document order = %q, want %q", got, want)
 	}
 	for i, n := range d.Nodes {
-		if n.Ord != i {
+		if int(n.Ord) != i {
 			t.Fatalf("Ord mismatch at %d: %d", i, n.Ord)
 		}
 	}
@@ -167,6 +169,85 @@ func TestLabels(t *testing.T) {
 	if got := strings.Join(n.Labels(), ","); got != "G,I2,I3" {
 		t.Errorf("Labels() = %q", got)
 	}
+}
+
+// Labels live in the document's table by Ord, so they must follow a
+// node through every numbering: out of a loose node's holder, from one
+// document into the next, into a Copy and through the columnar store.
+func TestLabelsFollowNumbering(t *testing.T) {
+	loose := ElemL("v", []string{"B", "A"})
+	loose.AddLabel("A") // a duplicate is a no-op
+	if loose.Document() != nil {
+		t.Fatal("a loose labeled node reports a document")
+	}
+	plain := Elem("w")
+	d := NewDocument(Elem("r", loose, plain))
+	if loose.Document() != d || strings.Join(loose.Labels(), ",") != "A,B" || plain.HasLabel("A") {
+		t.Fatalf("labels did not move into the document: %v on v, %v on w", loose.Labels(), plain.Labels())
+	}
+	plain.AddLabel("C") // a finalized node labels in place
+	moved := NewDocument(d.Root.Children...)
+	var ords []int
+	moved.EachLabeled("A", func(ord int) { ords = append(ords, ord) })
+	if len(ords) != 1 || moved.Nodes[ords[0]] != loose {
+		t.Errorf("EachLabeled(A) = %v, want the ord of v (%d)", ords, loose.Ord)
+	}
+	cp := moved.Copy()
+	for name, doc := range map[string]*Document{"renumbered": moved, "copy": cp, "columnar": Compact(cp)} {
+		v, w := doc.FindFirstElement("v"), doc.FindFirstElement("w")
+		if !v.HasLabel("A") || !v.HasLabel("B") || v.HasLabel("C") || !w.HasLabel("C") || len(w.Labels()) != 1 {
+			t.Errorf("%s: labels %v on v, %v on w", name, v.Labels(), w.Labels())
+		}
+		if doc.Root.HasLabel("A") || doc.FindFirstElement("r").Labels() != nil {
+			t.Errorf("%s: labels leaked to an unlabeled node", name)
+		}
+	}
+	cp.FindFirstElement("w").AddLabel("D")
+	if moved.FindFirstElement("w").HasLabel("D") {
+		t.Error("a label added to a copy reached the original")
+	}
+	c := NewColumnar(moved)
+	view := c.Document()
+	view.FindFirstElement("v").AddLabel("E")
+	if c.Document().FindFirstElement("v").HasLabel("E") {
+		t.Error("a label added to a hydrated view reached its store")
+	}
+	if got := moved.FindFirstElement("v").Labels(); strings.Join(got, ",") != "A,B" {
+		t.Errorf("Labels() = %v after the copies were labeled", got)
+	}
+}
+
+// TestNodeLayout pins the Node handle at 120 bytes on 64-bit platforms,
+// the size the registry's accounting and the resident heap follow; a
+// field added later has to name its bytes here.
+func TestNodeLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pinned layout is that of a 64-bit platform")
+	}
+	if got := unsafe.Sizeof(Node{}); got != 120 {
+		t.Fatalf("unsafe.Sizeof(Node{}) = %d, want 120", got)
+	}
+	if got := unsafe.Offsetof(Node{}.Name); got != 24 {
+		t.Errorf("Type and the four int32 numbers take %d bytes, want 24", got)
+	}
+}
+
+// The numbering refuses a node count an int32 Ord cannot hold, with the
+// message NewColumnar panics with; the bound is checked on a count, not
+// on a 2^31-node tree.
+func TestOrdWidthGuard(t *testing.T) {
+	over := int64(math.MaxInt32) + 1
+	if int64(int(over)) != over {
+		t.Skip("an int cannot count past the int32 ord width here")
+	}
+	checkOrdWidth(math.MaxInt32) // the largest numberable document
+	defer func() {
+		msg, _ := recover().(string)
+		if want := fmt.Sprintf("xmltree: document of %d nodes exceeds the columnar ord width", over); msg != want {
+			t.Fatalf("panic %q, want %q", msg, want)
+		}
+	}()
+	checkOrdWidth(int(over))
 }
 
 func TestSerializeRoundTrip(t *testing.T) {

@@ -707,7 +707,7 @@ func (q *Query) cacheKey(ctx Context, opts EvalOptions) qcache.Key {
 		DocFP:         ctx.Node.Document().Fingerprint(),
 		Plan:          q.Source,
 		Engine:        opts.Engine.String(),
-		CtxOrd:        ctx.Node.Ord,
+		CtxOrd:        int(ctx.Node.Ord),
 		CtxPos:        ctx.Pos,
 		CtxSize:       ctx.Size,
 		NegationBound: opts.NegationBound,
