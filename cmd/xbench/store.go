@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	xpath "xpathcomplexity"
 	"xpathcomplexity/internal/xmltree"
@@ -35,28 +38,78 @@ type storeMemRow struct {
 }
 
 // storeEvalRow is one warm-evaluation overhead measurement: the same
-// compiled query on a pointer-backed vs a columnar-backed document.
+// compiled query on a pointer-backed vs a columnar-backed document,
+// timed as Samples back-to-back pairs (storePairs).
 type storeEvalRow struct {
 	Workload string `json:"workload"`
 	Engine   string `json:"engine"`
 	Query    string `json:"query"`
 	Nodes    int    `json:"nodes"`
-	// PointerNsPerOp / ColumnarNsPerOp are warm wall times per eval.
+	// PointerNsPerOp / ColumnarNsPerOp are the median warm wall times
+	// per eval over the pairs.
 	PointerNsPerOp  int64 `json:"pointer_ns_per_op"`
 	ColumnarNsPerOp int64 `json:"columnar_ns_per_op"`
 	// PointerAllocs / ColumnarAllocs are warm allocs per eval — the
 	// hydrated view is a plain *Node graph, so these should be equal.
 	PointerAllocs  int64 `json:"pointer_allocs_per_op"`
 	ColumnarAllocs int64 `json:"columnar_allocs_per_op"`
-	// OverheadPct is (columnar-pointer)/pointer wall time, in percent.
-	OverheadPct float64 `json:"overhead_pct"`
+	// OverheadPct is the median over the pairs of each pair's
+	// (columnar-pointer)/pointer wall time, in percent; OverheadMinPct
+	// and OverheadMaxPct bound it.
+	OverheadMinPct float64 `json:"overhead_pct_min"`
+	OverheadPct    float64 `json:"overhead_pct"`
+	OverheadMaxPct float64 `json:"overhead_pct_max"`
+	Samples        int     `json:"samples"`
 }
 
-// storeReport is the top-level BENCH_STORE.json document.
+// storeReport is the top-level BENCH_STORE.json document, in the
+// envelope of BENCH_MIX.json.
 type storeReport struct {
 	Experiment string         `json:"experiment"`
+	GoVersion  string         `json:"go_version"`
+	NumCPU     int            `json:"num_cpu"`
+	GOMAXPROCS int            `json:"gomaxprocs"`
 	Memory     []storeMemRow  `json:"memory"`
 	Eval       []storeEvalRow `json:"eval"`
+}
+
+// storePairs is the number of back-to-back pointer/columnar timing
+// pairs behind each eval row, and storeSample the wall time of one
+// side of a pair.
+const (
+	storePairs  = 9
+	storeSample = 20 * time.Millisecond
+)
+
+// storeOverhead times eval on the two backends as storePairs pairs run
+// back to back, the side that goes first alternating between pairs (the
+// form TestStoreGateEvalParity uses), so both sides of a pair see the
+// same machine load. It returns the median ns/op of each side and the
+// sorted per-pair overheads in percent.
+func storeOverhead(peval, ceval func()) (pns, cns int64, overheads []float64) {
+	sample := func(eval func(), iters int) float64 {
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			eval()
+		}
+		return float64(time.Since(start).Nanoseconds()) / float64(iters)
+	}
+	iters := int(storeSample/time.Duration(sample(peval, 3)+1)) + 1
+	var ps, cs []float64
+	for i := 0; i < storePairs; i++ {
+		var p, c float64
+		if i%2 == 0 {
+			p, c = sample(peval, iters), sample(ceval, iters)
+		} else {
+			c, p = sample(ceval, iters), sample(peval, iters)
+		}
+		ps, cs = append(ps, p), append(cs, c)
+		overheads = append(overheads, 100*(c-p)/p)
+	}
+	slices.Sort(ps)
+	slices.Sort(cs)
+	slices.Sort(overheads)
+	return int64(ps[storePairs/2]), int64(cs[storePairs/2]), overheads
 }
 
 // storeMemFamilies are the document families measured for footprint:
@@ -85,7 +138,10 @@ var storeMemFamilies = []struct {
 // BENCH_STORE.json; `make storegate` holds the ≥2x store ratio and the
 // warm-eval parity as a regression gate.
 func expStore(seed int64) {
-	report := storeReport{Experiment: "store"}
+	report := storeReport{
+		Experiment: "store", GoVersion: runtime.Version(), NumCPU: runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
 
 	mt := newTable("family", "nodes", "pointer B", "columnar B", "resident B", "ptr B/node", "col B/node", "ratio")
 	for _, f := range storeMemFamilies {
@@ -108,7 +164,7 @@ func expStore(seed int64) {
 	}
 	mt.print()
 
-	et := newTable("workload", "engine", "ptr ns/op", "col ns/op", "overhead", "ptr allocs", "col allocs")
+	et := newTable("workload", "engine", "ptr ns/op", "col ns/op", "overhead (median)", "min–max", "ptr allocs", "col allocs")
 	for _, w := range allocWorkloads {
 		pd := w.doc()
 		cd := xmltree.Compact(w.doc())
@@ -117,32 +173,31 @@ func expStore(seed int64) {
 			panic(err)
 		}
 		opts := xpath.EvalOptions{Engine: w.engine}
-		measure := func(d *xmltree.Document) (ns, allocs int64) {
+		evalOn := func(d *xmltree.Document) func() {
 			ctx := xpath.RootContext(d)
-			if _, err := c.EvalOptions(ctx, opts); err != nil { // prime index + pools
-				panic(err)
-			}
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := c.EvalOptions(ctx, opts); err != nil {
-						b.Fatal(err)
-					}
+			return func() {
+				if _, err := c.EvalOptions(ctx, opts); err != nil {
+					panic(err)
 				}
-			})
-			return res.NsPerOp(), res.AllocsPerOp()
+			}
 		}
-		pns, pallocs := measure(pd)
-		cns, callocs := measure(cd)
+		peval, ceval := evalOn(pd), evalOn(cd)
+		peval() // prime index + pools
+		ceval()
+		pns, cns, overheads := storeOverhead(peval, ceval)
 		row := storeEvalRow{
 			Workload: w.name, Engine: w.engine.String(), Query: w.query, Nodes: len(pd.Nodes),
 			PointerNsPerOp: pns, ColumnarNsPerOp: cns,
-			PointerAllocs: pallocs, ColumnarAllocs: callocs,
-			OverheadPct: 100 * float64(cns-pns) / float64(pns),
+			PointerAllocs:  int64(testing.AllocsPerRun(20, peval)),
+			ColumnarAllocs: int64(testing.AllocsPerRun(20, ceval)),
+			OverheadMinPct: overheads[0], OverheadPct: overheads[storePairs/2],
+			OverheadMaxPct: overheads[storePairs-1], Samples: storePairs,
 		}
 		report.Eval = append(report.Eval, row)
 		et.add(row.Workload, row.Engine, row.PointerNsPerOp, row.ColumnarNsPerOp,
-			fmt.Sprintf("%+.1f%%", row.OverheadPct), row.PointerAllocs, row.ColumnarAllocs)
+			fmt.Sprintf("%+.1f%%", row.OverheadPct),
+			fmt.Sprintf("%+.1f%%…%+.1f%%", row.OverheadMinPct, row.OverheadMaxPct),
+			row.PointerAllocs, row.ColumnarAllocs)
 	}
 	et.print()
 

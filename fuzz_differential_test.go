@@ -3,6 +3,7 @@ package xpathcomplexity
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -32,6 +33,25 @@ func nauxpdaOutside(err error) bool {
 		errors.Is(err, nauxpda.ErrArithDepth)
 }
 
+// splitShape wraps generated queries in a conjunction with position()
+// or last(), by itself, nested in another step's predicate, under not()
+// and after an earlier predicate: the shapes bind splits into
+// positional and position-free predicates.
+func splitShape(rng *rand.Rand, gen *enginetest.QueryGen, i int) string {
+	tag := gen.Tags[rng.Intn(len(gen.Tags))]
+	k := 1 + rng.Intn(3)
+	switch i % 4 {
+	case 0:
+		return fmt.Sprintf("//%s[%s and position() = last()]", tag, gen.Query())
+	case 1:
+		return fmt.Sprintf("//%s[position() < %d and %s]", tag, k, gen.Query())
+	case 2:
+		return fmt.Sprintf("//%s[not(%s[%s and position() = %d])]", tag, gen.Tags[rng.Intn(len(gen.Tags))], gen.Query(), k)
+	default:
+		return fmt.Sprintf("//%s[%s][last() > %d and %s and %s]", tag, gen.Query(), k, gen.Query(), gen.Query())
+	}
+}
+
 // FuzzDifferentialEngines is the cross-engine differential suite: for a
 // random document and random queries drawn from one of the five
 // generator profiles, every applicable engine must produce the same
@@ -40,7 +60,9 @@ func nauxpdaOutside(err error) bool {
 //
 // The seed corpus covers PF, positive Core, Core, pWF, full-XPath and
 // positional profiles, so a plain `go test` run already exercises all
-// engines on all profiles.
+// engines on all profiles. Profiles 6-11 wrap the generated queries in
+// positional conjunctions (splitShape), the predicates the plan's
+// t[a and p] ⇒ t[p][a] split rewrites.
 func FuzzDifferentialEngines(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(10))  // PF
 	f.Add(int64(2), uint8(1), uint8(25))  // positive core
@@ -51,10 +73,14 @@ func FuzzDifferentialEngines(f *testing.F) {
 	f.Add(int64(7), uint8(4), uint8(200)) // full on a wider document
 	f.Add(int64(8), uint8(5), uint8(45))  // positional (counting fragment)
 	f.Add(int64(9), uint8(5), uint8(6))   // positional on a tiny document
+	f.Add(int64(10), uint8(8), uint8(60)) // core split around position()/last()
+	f.Add(int64(11), uint8(11), uint8(7)) // positional split on a tiny document
+	f.Add(int64(12), uint8(6), uint8(33)) // PF split, nested and under not()
 
 	f.Fuzz(func(t *testing.T, seed int64, profile, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		prof := enginetest.GenProfile(int(profile) % 6)
+		split := int(profile)%12 >= 6
 		d := xmltree.RandomDocument(rng, xmltree.GenConfig{
 			Nodes:     10 + int(shape)%90,
 			MaxFanout: 1 + int(shape)%5,
@@ -67,6 +93,9 @@ func FuzzDifferentialEngines(f *testing.F) {
 
 		for i := 0; i < 8; i++ {
 			qs := gen.Query()
+			if split {
+				qs = splitShape(rng, gen, i)
+			}
 			q, err := Compile(qs)
 			if err != nil {
 				t.Fatalf("generator produced invalid query %q: %v", qs, err)
@@ -197,6 +226,11 @@ func FuzzDifferentialEngines(f *testing.F) {
 			}
 			if cw, cc := canonValue(warm), canonValue(cold); cw != cc {
 				t.Fatalf("query %q: warm %s != cold %s", qs, cw, cc)
+			}
+			// The engine-bound plan (split, collapsed, folded) agrees with
+			// the engines' vote on the query as written.
+			if !value.Equal(got[0].v, cold) {
+				t.Fatalf("query %q: plan %s != %s %s", qs, canonValue(cold), got[0].engine, canonValue(got[0].v))
 			}
 
 			// Cache arm: a result served through the shared result cache —

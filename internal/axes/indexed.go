@@ -1,114 +1,183 @@
 package axes
 
 import (
+	"slices"
+
 	"xpathcomplexity/internal/xmltree"
 	"xpathcomplexity/internal/xpath/ast"
 )
 
-// candidates returns the index node list matching node test t under axis
-// a (nil, false when no list applies: targeted PI tests keep the generic
-// path, as does the attribute principal type).
-func candidates(ix *xmltree.Index, a ast.Axis, t ast.NodeTest) ([]*xmltree.Node, bool) {
+// candidates returns the index ord list holding the candidates of node
+// test t under axis a. all reports the node() test, whose candidates
+// are every non-attribute ord and which has no list. ok is false when
+// the index serves no list: targeted PI tests and the attribute axis
+// keep the generic path.
+func candidates(ix *xmltree.Index, a ast.Axis, t ast.NodeTest) (list []int32, all, ok bool) {
 	if a == ast.AxisAttribute {
-		return nil, false
+		return nil, false, false
 	}
 	switch t.Kind {
 	case ast.TestName:
-		return ix.ElementsByTag(t.Name), true
+		return ix.ElementsByTag(t.Name), false, true
 	case ast.TestStar:
-		return ix.Elements(), true
+		return ix.Elements(), false, true
 	case ast.TestText:
-		return ix.Texts(), true
+		return ix.Texts(), false, true
 	case ast.TestComment:
-		return ix.Comments(), true
+		return ix.Comments(), false, true
 	case ast.TestPI:
 		if t.Name == "" {
-			return ix.ProcInsts(), true
+			return ix.ProcInsts(), false, true
 		}
-		return nil, false
+		return nil, false, false
 	case ast.TestNode:
-		return ix.TreeNodes(), true
+		return nil, true, true
 	default:
-		return nil, false
+		return nil, false, false
 	}
 }
 
-// SelectFast returns the nodes selected by axis::test from n in document
-// order using the document index, and whether an index-accelerated
-// strategy exists for (a, t). Accelerated: descendant and
-// descendant-or-self (subtree slice of the tag list, two binary
-// searches), following (suffix of the tag list) and preceding (prefix
-// scan excluding ancestors) for name, * and text() tests. The returned
-// slice may alias index storage and must not be modified.
-func SelectFast(ix *xmltree.Index, a ast.Axis, t ast.NodeTest, n *xmltree.Node) ([]*xmltree.Node, bool) {
-	list, ok := candidates(ix, a, t)
+// span is the index-served image of a descendant, following or
+// preceding step from one context node, the context node itself left
+// out: the candidates in the ord range [lo, hi), which are list, or
+// every non-attribute ord there when all is set; for preceding, anchor
+// is the context node (its owner, for an attribute), whose ancestors
+// are skipped, and -1 otherwise.
+type span struct {
+	list   []int32
+	all    bool
+	lo, hi int32
+	anchor int32
+}
+
+// indexSpan computes the span of axis::test from ord o, and whether the
+// index serves the step. Ords number each subtree contiguously, so the
+// descendants of o are (o, SubtreeEnd(o)) and the following nodes start
+// at SubtreeEnd(o); an attribute has no descendants, and everything
+// after it but its sibling attributes follows it.
+func indexSpan(ix *xmltree.Index, a ast.Axis, t ast.NodeTest, o int32) (span, bool) {
+	list, all, ok := candidates(ix, a, t)
 	if !ok {
-		return nil, false
+		return span{}, false
 	}
+	s := span{all: all, hi: int32(ix.Len()), anchor: -1}
 	switch a {
-	case ast.AxisDescendant:
-		return xmltree.SubtreeSlice(list, n), true
-	case ast.AxisDescendantOrSelf:
-		sub := xmltree.SubtreeSlice(list, n)
-		if !MatchTest(a, n, t) {
-			return sub, true
-		}
-		out := make([]*xmltree.Node, 0, len(sub)+1)
-		out = append(out, n)
-		return append(out, sub...), true
+	case ast.AxisDescendant, ast.AxisDescendantOrSelf:
+		s.lo, s.hi = o+1, ix.SubtreeEnd(o)
 	case ast.AxisFollowing:
-		return xmltree.FollowingSlice(list, n), true
+		s.lo = ix.SubtreeEnd(o)
 	case ast.AxisPreceding:
-		return xmltree.PrecedingScan(nil, list, n), true
+		if ix.IsAttr(o) {
+			o = ix.ParentOrds()[o]
+		}
+		s.hi, s.anchor = o, o
 	default:
-		return nil, false
+		return span{}, false
+	}
+	if !all {
+		s.list = xmltree.OrdsIn(list, s.lo, s.hi)
+	}
+	return s, true
+}
+
+// each calls f for every ord of the span: in document order, except
+// for preceding (anchor >= 0), which runs backwards so that the walk up
+// the anchor's parent chain meets each ancestor exactly where the scan
+// would reach it.
+func (s span) each(ix *xmltree.Index, f func(o int32)) {
+	if s.anchor < 0 {
+		if !s.all {
+			for _, o := range s.list {
+				f(o)
+			}
+			return
+		}
+		for o := s.lo; o < s.hi; o++ {
+			if !ix.IsAttr(o) {
+				f(o)
+			}
+		}
+		return
+	}
+	parent := ix.ParentOrds()
+	p := parent[s.anchor]
+	visit := func(o int32) {
+		for p > o {
+			p = parent[p]
+		}
+		if p != o {
+			f(o)
+		}
+	}
+	if !s.all {
+		for i := len(s.list) - 1; i >= 0; i-- {
+			visit(s.list[i])
+		}
+		return
+	}
+	for o := s.hi - 1; o >= s.lo; o-- {
+		if !ix.IsAttr(o) {
+			visit(o)
+		}
 	}
 }
 
-// SelectIndexed is Select accelerated by the document index where an
-// indexed strategy exists, with a transparent fallback otherwise. The
-// returned slice may alias index storage and must not be modified.
-func SelectIndexed(ix *xmltree.Index, a ast.Axis, t ast.NodeTest, n *xmltree.Node) []*xmltree.Node {
-	if sel, ok := SelectFast(ix, a, t, n); ok {
-		return sel
-	}
-	return Select(a, t, n)
-}
-
-// SelectProximityIndexed is SelectProximity accelerated by the document
-// index. Reverse-axis results are freshly allocated before reversal, so
-// index storage is never mutated.
-func SelectProximityIndexed(ix *xmltree.Index, a ast.Axis, t ast.NodeTest, n *xmltree.Node) []*xmltree.Node {
-	sel, ok := SelectFast(ix, a, t, n)
+// AppendSelectOrds appends to dst, in document order, the ords that
+// axis::test selects from the context ord o, and reports whether the
+// index serves the step: descendant and descendant-or-self (a subtree
+// slice of the test's ord list, or the subtree's ord range minus
+// attributes for node()), following (a suffix) and preceding (a prefix
+// scan that skips the ancestors). The context node itself is left out:
+// descendant-or-self callers add it when it passes the test. Nothing
+// is appended when ok is false.
+func AppendSelectOrds(dst []int32, ix *xmltree.Index, a ast.Axis, t ast.NodeTest, o int32) ([]int32, bool) {
+	s, ok := indexSpan(ix, a, t, o)
 	if !ok {
-		return SelectProximity(a, t, n)
+		return dst, false
 	}
-	if !a.IsReverse() {
-		return sel
+	if s.anchor < 0 && !s.all {
+		return append(dst, s.list...), true
 	}
-	out := make([]*xmltree.Node, len(sel))
-	for i, m := range sel {
-		out[len(sel)-1-i] = m
+	start := len(dst)
+	s.each(ix, func(o int32) { dst = append(dst, o) })
+	if s.anchor >= 0 {
+		slices.Reverse(dst[start:])
 	}
-	return out
+	return dst, true
+}
+
+// AppendSelectFast is AppendSelectOrds for a tree engine: it appends the
+// selected nodes (Document.Nodes[ord]) in document order, the context
+// node first when descendant-or-self's test matches it. It allocates
+// nothing beyond growing dst.
+func AppendSelectFast(dst []*xmltree.Node, ix *xmltree.Index, a ast.Axis, t ast.NodeTest, n *xmltree.Node) ([]*xmltree.Node, bool) {
+	s, ok := indexSpan(ix, a, t, n.Ord)
+	if !ok {
+		return dst, false
+	}
+	if a == ast.AxisDescendantOrSelf && MatchTest(a, n, t) {
+		dst = append(dst, n)
+	}
+	nodes := ix.Doc().Nodes
+	start := len(dst)
+	s.each(ix, func(o int32) { dst = append(dst, nodes[o]) })
+	if s.anchor >= 0 {
+		slices.Reverse(dst[start:])
+	}
+	return dst, true
 }
 
 // AppendSelectProximity appends the axis::test selection from n to dst in
-// proximity order and returns the extended slice — the allocation-free
-// variant of SelectProximityIndexed for callers that recycle their own
-// buffers (ix may be nil for the unindexed walk). Unlike
-// SelectProximityIndexed, the appended region never aliases index
-// storage, so callers may overwrite it freely.
+// proximity order and returns the extended slice, for callers that
+// recycle their own buffers (ix may be nil for the unindexed walk).
 func AppendSelectProximity(dst []*xmltree.Node, ix *xmltree.Index, a ast.Axis, t ast.NodeTest, n *xmltree.Node) []*xmltree.Node {
 	if ix != nil {
-		if sel, ok := SelectFast(ix, a, t, n); ok {
-			if !a.IsReverse() {
-				return append(dst, sel...)
+		start := len(dst)
+		if sel, ok := AppendSelectFast(dst, ix, a, t, n); ok {
+			if a.IsReverse() {
+				slices.Reverse(sel[start:])
 			}
-			for i := len(sel) - 1; i >= 0; i-- {
-				dst = append(dst, sel[i])
-			}
-			return dst
+			return sel
 		}
 	}
 	return appendSelectProximity(dst, a, t, n)

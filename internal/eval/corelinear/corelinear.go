@@ -472,7 +472,7 @@ func (e *evaluator) forwardPathSparse(p *ast.Path, first *xmltree.Node) (nodeset
 // parent (deduplicated via the marks scratch), ancestor and
 // following-sibling chains with a visited-stop, and the descendant axes
 // via subtree slices from a nesting-pruned frontier. Following/preceding
-// apply only from a singleton frontier, where SelectFast slices the tag
+// apply only from a singleton frontier, where AppendSelectFast slices the tag
 // list directly. Preceding-sibling reports ok=false and falls
 // back to the dense passes. The result is appended to out (the caller's
 // spare frontier buffer, sliced to length 0), duplicate free, in
@@ -572,31 +572,30 @@ func (e *evaluator) selectSparse(a ast.Axis, t ast.NodeTest, list, out []*xmltre
 		// whole selection (itself included, for descendant-or-self) lies
 		// inside its covering ancestor's subtree slice.
 		for _, n := range e.pruneNested(list) {
-			sel, ok := axes.SelectFast(e.idx, a, t, n)
-			if !ok {
+			var ok bool
+			if out, ok = axes.AppendSelectFast(out, e.idx, a, t, n); !ok {
 				return nil, false
 			}
-			out = append(out, sel...)
 		}
 	case ast.AxisFollowing, ast.AxisPreceding:
 		if len(list) != 1 {
 			return nil, false
 		}
-		sel, ok := axes.SelectFast(e.idx, a, t, list[0])
-		if !ok {
+		var ok bool
+		if out, ok = axes.AppendSelectFast(out, e.idx, a, t, list[0]); !ok {
 			return nil, false
 		}
-		out = append(out, sel...)
 	default:
 		return nil, false
 	}
 	return out, true
 }
 
-// pruneNested drops list members lying inside another member's subtree.
-// Attributes share their owner's pre/post interval, so an attribute
-// survives alongside its owner (its empty/self-only selection adds
-// nothing the owner's subtree slice misses).
+// pruneNested drops the non-attribute list members lying inside another
+// member's subtree. Attributes always survive: the subtree slices the
+// descendant axes select from hold no attributes, so an attribute's
+// self-only descendant-or-self selection is its own even inside a kept
+// member's subtree.
 func (e *evaluator) pruneNested(list []*xmltree.Node) []*xmltree.Node {
 	if len(list) <= 1 {
 		return list
@@ -606,11 +605,13 @@ func (e *evaluator) pruneNested(list []*xmltree.Node) []*xmltree.Node {
 	*pb = sorted
 	slices.SortFunc(sorted, func(a, b *xmltree.Node) int { return int(a.Pre - b.Pre) })
 	out := sorted[:0]
+	var cover *xmltree.Node // the last kept non-attribute member
 	for _, n := range sorted {
-		if len(out) > 0 {
-			if last := out[len(out)-1]; n.Pre > last.Pre && n.Post < last.Post {
+		if n.Type != xmltree.AttributeNode {
+			if cover != nil && n.Pre > cover.Pre && n.Post < cover.Post {
 				continue
 			}
+			cover = n
 		}
 		out = append(out, n)
 	}

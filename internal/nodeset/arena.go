@@ -191,6 +191,15 @@ func (a *Arena) FromNodes(doc *xmltree.Document, nodes ...*xmltree.Node) Set {
 	return s
 }
 
+// FromOrds builds an arena-backed set from member ords.
+func (a *Arena) FromOrds(doc *xmltree.Document, ords []int32) Set {
+	s := a.New(doc)
+	for _, o := range ords {
+		s.Words[o>>6] |= 1 << (uint(o) & 63)
+	}
+	return s
+}
+
 // And returns s ∩ t as a fresh arena-backed set.
 func (a *Arena) And(s, t Set) Set {
 	out := Set{Doc: s.Doc, Words: a.getWords(len(s.Words), false)}

@@ -268,10 +268,9 @@ func testWords(ix *xmltree.Index, principal xmltree.NodeType, t ast.NodeTest) []
 	doc := ix.Doc()
 	n := len(doc.Nodes)
 	words := make([]uint64, WordCount(n))
-	set := func(ord int) { words[ord>>6] |= 1 << (uint(ord) & 63) }
-	mark := func(nodes []*xmltree.Node) {
-		for _, m := range nodes {
-			set(int(m.Ord))
+	mark := func(ords []int32) {
+		for _, o := range ords {
+			words[o>>6] |= 1 << (uint(o) & 63)
 		}
 	}
 	switch t.Kind {
@@ -292,9 +291,9 @@ func testWords(ix *xmltree.Index, principal xmltree.NodeType, t ast.NodeTest) []
 	case ast.TestComment:
 		mark(ix.Comments())
 	case ast.TestPI:
-		for _, m := range ix.ProcInsts() {
-			if t.Name == "" || m.Name == t.Name {
-				set(int(m.Ord))
+		for _, o := range ix.ProcInsts() {
+			if t.Name == "" || doc.Nodes[o].Name == t.Name {
+				words[o>>6] |= 1 << (uint(o) & 63)
 			}
 		}
 	case ast.TestNode:

@@ -643,6 +643,11 @@ func TestConcurrentHitsAndInvalidation(t *testing.T) {
 			t.Errorf("served %v, want %v", v, want)
 		}
 	}
+	// The invalidators wait until a reader's first Do has returned, so
+	// the entry has been admitted and the first InvalidateDocument meets
+	// it resident, however the scheduler orders the goroutines.
+	admitted := make(chan struct{})
+	var admit sync.Once
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(3)
@@ -650,6 +655,7 @@ func TestConcurrentHitsAndInvalidation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				v, err := c.Do(key, d, nil, eval)
+				admit.Do(func() { close(admitted) })
 				if err != nil {
 					t.Error(err)
 					return
@@ -665,6 +671,7 @@ func TestConcurrentHitsAndInvalidation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				v, err := c.DoBorrowed(key, d, nil, eval)
+				admit.Do(func() { close(admitted) })
 				if err != nil {
 					t.Error(err)
 					return
@@ -674,6 +681,7 @@ func TestConcurrentHitsAndInvalidation(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
+			<-admitted
 			for i := 0; i < 100; i++ {
 				c.InvalidateDocument(d.Fingerprint())
 				runtime.Gosched()

@@ -79,8 +79,8 @@ func (p *Program) Run(ctx evalctx.Context, opts RunOptions) (value.Value, error)
 	return v, err
 }
 
-// machinePool recycles machines (with their slot, test-set and mark
-// buffers) across executions, so a warm run allocates nothing.
+// machinePool recycles machines (with their slot, test-set, mark and
+// frontier buffers) across executions, so a warm run allocates nothing.
 var machinePool = sync.Pool{New: func() any { return new(machine) }}
 
 // machine is the per-execution mutable state: the frontier register,
@@ -104,17 +104,19 @@ type machine struct {
 	// acc is the backward-pass accumulator.
 	acc nodeset.Set
 
-	// Forward frontier: an explicit node list while sparse (bounded by
+	// Forward frontier: an explicit ord list while sparse (bounded by
 	// |D|/sparseDivisor), a dense bitset after demotion. The list
-	// double-buffers between two arena node buffers, as in corelinear.
-	sparse     bool
-	list       []*xmltree.Node
-	dense      nodeset.Set
-	cur, spare *[]*xmltree.Node
+	// double-buffers with spare; both, like the visited and pruned
+	// scratch lists, are ord buffers the machine owns and keeps across
+	// pooled executions.
+	sparse bool
+	list   []int32
+	spare  []int32
+	dense  nodeset.Set
 
 	marks        []bool // scratch dedup bitmap, always reset after use
-	visBuf       *[]*xmltree.Node
-	pruneBuf     *[]*xmltree.Node
+	visited      []int32
+	pruned       []int32
 	modeSwitches int64
 
 	// posRank/posTotal are per-parent counter scratch for the dense
@@ -130,21 +132,36 @@ type machine struct {
 // release returns the machine and its arena-backed scratch memory to
 // the pools. Slot and test sets are arena-backed or cache-aliased, so
 // their headers are dropped before the arena goes back; the slot/tset
-// slices and marks bitmap keep capacity for the next run.
+// slices, the marks bitmap and the ord buffers keep capacity for the
+// next run.
 func (m *machine) release() {
 	clear(m.slots)
 	clear(m.tsets)
 	m.arena.Release()
 	m.prog, m.doc, m.ix, m.ctr, m.guard, m.arena = nil, nil, nil, nil, nil, nil
 	m.acc, m.dense = nodeset.Set{}, nodeset.Set{}
-	m.list, m.cur, m.spare = nil, nil, nil
-	m.visBuf, m.pruneBuf = nil, nil
+	m.list, m.spare = pooledOrds(m.list), pooledOrds(m.spare)
+	m.visited, m.pruned = pooledOrds(m.visited), pooledOrds(m.pruned)
 	m.sparse = false
 	m.modeSwitches = 0
 	if cap(m.text) > maxPooledText {
 		m.text = nil
 	}
 	machinePool.Put(m)
+}
+
+// maxPooledOrds bounds the capacity of an ord buffer a pooled machine
+// keeps; a larger one (a frontier over a huge document) goes back to
+// the GC.
+const maxPooledOrds = 64 << 10
+
+// pooledOrds returns buf emptied for the pool, or nil when it is too
+// large to keep.
+func pooledOrds(buf []int32) []int32 {
+	if cap(buf) > maxPooledOrds {
+		return nil
+	}
+	return buf[:0]
 }
 
 // charge bumps the counter and the guard by one |D|-sized unit, exactly
@@ -233,9 +250,9 @@ func (m *machine) exec(ctx evalctx.Context) (value.Value, error) {
 	for _, in := range p.Code {
 		switch in.Op {
 		case OpInitCtx:
-			m.initFrontier(ctx.Node)
+			m.initFrontier(ctx.Node.Ord)
 		case OpInitRoot:
-			m.initFrontier(m.doc.Root)
+			m.initFrontier(m.doc.Root.Ord)
 		case OpStep:
 			if err := m.step(in.Axis, in.Test, nodeset.Set{}, in.B != 0); err != nil {
 				return nil, err
@@ -350,10 +367,10 @@ func (m *machine) exec(ctx evalctx.Context) (value.Value, error) {
 			m.slots[in.Dst] = m.slots[in.A]
 		case OpRetSet:
 			if m.sparse {
-				// FromNodes restores document order and dedups; Nodes()
+				// FromOrds restores document order and dedups; Nodes()
 				// materializes into fresh heap memory that survives the
 				// arena release.
-				return value.NodeSetFromOrdered(m.arena.FromNodes(m.doc, m.list...).Nodes()), nil
+				return value.NodeSetFromOrdered(m.arena.FromOrds(m.doc, m.list).Nodes()), nil
 			}
 			return value.NodeSetFromOrdered(m.dense.Nodes()), nil
 		case OpRetBool:
@@ -450,27 +467,23 @@ func (m *machine) sum(s nodeset.Set) float64 {
 // |D|/sparseDivisor nodes.
 const sparseDivisor = 2
 
-// initFrontier starts the forward pass at a single node: sparse when
-// the index is available, dense otherwise (the seed behaviour).
-func (m *machine) initFrontier(n *xmltree.Node) {
+// initFrontier starts the forward pass at the single node o: sparse
+// when the index is available, dense otherwise (the seed behaviour).
+func (m *machine) initFrontier(o int32) {
 	if m.ix == nil {
 		m.dense = m.arena.New(m.doc)
-		m.dense.Add(n)
+		m.dense.AddOrd(int(o))
 		m.sparse = false
 		return
 	}
-	if m.cur == nil {
-		m.cur, m.spare = m.arena.NodeBuf(), m.arena.NodeBuf()
-	}
-	*m.cur = append((*m.cur)[:0], n)
-	m.list = *m.cur
+	m.list = append(m.list[:0], o)
 	m.sparse = true
 }
 
 // demote converts the sparse frontier to a dense bitset; the frontier
 // stays dense for the rest of the path.
 func (m *machine) demote() {
-	m.dense = m.arena.FromNodes(m.doc, m.list...)
+	m.dense = m.arena.FromOrds(m.doc, m.list)
 	m.sparse = false
 	m.modeSwitches++
 }
@@ -479,7 +492,7 @@ func (m *machine) demote() {
 // for save/union/unfused execution, not a size-pressure fallback).
 func (m *machine) ensureDense() {
 	if m.sparse {
-		m.dense = m.arena.FromNodes(m.doc, m.list...)
+		m.dense = m.arena.FromOrds(m.doc, m.list)
 		m.sparse = false
 	}
 }
@@ -488,13 +501,18 @@ func (m *machine) ensureDense() {
 // place; the frontier buffer is exclusively ours.
 func (m *machine) filterSparse(cond nodeset.Set) {
 	kept := m.list[:0]
-	for _, n := range m.list {
-		if cond.HasOrd(int(n.Ord)) {
-			kept = append(kept, n)
+	for _, o := range m.list {
+		if cond.HasOrd(int(o)) {
+			kept = append(kept, o)
 		}
 	}
 	m.list = kept
-	*m.cur = kept
+}
+
+// advance makes the selection of a sparse step the frontier; the old
+// frontier's buffer becomes the spare.
+func (m *machine) advance(sel []int32) {
+	m.list, m.spare = sel, m.list[:0]
 }
 
 // endStep applies corelinear's end-of-step rules to a sparse frontier:
@@ -522,10 +540,8 @@ func (m *machine) step(a ast.Axis, ti uint16, cond nodeset.Set, endStep bool) er
 		return err
 	}
 	if m.sparse {
-		if sel, ok := m.selectSparse(a, ti, m.list, (*m.spare)[:0]); ok {
-			*m.spare = sel
-			m.list = sel
-			m.cur, m.spare = m.spare, m.cur
+		if sel, ok := m.selectSparse(a, ti, m.list, m.spare[:0]); ok {
+			m.advance(sel)
 		} else {
 			m.demote()
 		}
@@ -586,10 +602,8 @@ func (m *machine) stepPos(a ast.Axis, ti uint16, cm counting.Cmp, base nodeset.S
 		return err
 	}
 	if m.sparse {
-		if sel, ok := m.selectSparse(a, ti, m.list, (*m.spare)[:0]); ok {
-			*m.spare = sel
-			m.list = sel
-			m.cur, m.spare = m.spare, m.cur
+		if sel, ok := m.selectSparse(a, ti, m.list, m.spare[:0]); ok {
+			m.advance(sel)
 			m.rankFilter(cm, base)
 			if endStep {
 				return m.endStep()
@@ -702,22 +716,23 @@ func (m *machine) stepPos(a ast.Axis, ti uint16, cm counting.Cmp, base nodeset.S
 // members (OpStepPosBase).
 func (m *machine) rankFilter(cm counting.Cmp, base nodeset.Set) {
 	hasBase := base.Words != nil
+	par := m.ix.ParentOrds()
 	list := m.list
 	kept := list[:0]
 	for i := 0; i < len(list); {
 		j := i + 1
-		for j < len(list) && list[j].Parent == list[i].Parent {
+		for j < len(list) && par[list[j]] == par[list[i]] {
 			j++
 		}
 		last := 0
 		for k := i; k < j; k++ {
-			if !hasBase || base.HasOrd(int(list[k].Ord)) {
+			if !hasBase || base.HasOrd(int(list[k])) {
 				last++
 			}
 		}
 		rank := 0
 		for k := i; k < j; k++ {
-			if hasBase && !base.HasOrd(int(list[k].Ord)) {
+			if hasBase && !base.HasOrd(int(list[k])) {
 				continue
 			}
 			rank++
@@ -728,116 +743,125 @@ func (m *machine) rankFilter(cm counting.Cmp, base nodeset.Set) {
 		i = j
 	}
 	m.list = kept
-	*m.cur = kept
 }
 
-// selectSparse computes axis::test over an explicit frontier list, for
-// the axes whose cost is bounded by the frontier and output sizes. It
-// mirrors corelinear's selection exactly, with one compiled-form
+// selectSparse computes axis::test over an explicit frontier of ords,
+// for the axes whose cost is bounded by the frontier and output sizes,
+// reading the index's link arrays and attribute mask; a *Node is never
+// touched. It mirrors corelinear's selection, with one compiled-form
 // advantage: node-test matching is a bit probe into the resolved
 // constant-pool set instead of a per-node axes.MatchTest call. Results
 // are duplicate free, in arbitrary order (document order is restored at
 // materialization).
-func (m *machine) selectSparse(a ast.Axis, ti uint16, list, out []*xmltree.Node) ([]*xmltree.Node, bool) {
+func (m *machine) selectSparse(a ast.Axis, ti uint16, list, out []int32) ([]int32, bool) {
 	ts := m.testSet(ti)
+	ix := m.ix
 	switch a {
 	case ast.AxisSelf:
-		for _, n := range list {
-			if ts.HasOrd(int(n.Ord)) {
-				out = append(out, n)
+		for _, o := range list {
+			if ts.HasOrd(int(o)) {
+				out = append(out, o)
 			}
 		}
 	case ast.AxisChild:
 		// Distinct frontier nodes have disjoint child lists: no dedup.
-		for _, n := range list {
-			for _, c := range n.Children {
-				if ts.HasOrd(int(c.Ord)) {
+		first, next := ix.FirstChildOrds(), ix.NextSiblingOrds()
+		for _, o := range list {
+			for c := first[o]; c >= 0; c = next[c] {
+				if ts.HasOrd(int(c)) {
 					out = append(out, c)
 				}
 			}
 		}
 	case ast.AxisAttribute:
-		for _, n := range list {
-			for _, at := range n.Attrs {
-				if ts.HasOrd(int(at.Ord)) {
-					out = append(out, at)
+		// An element's attributes are the attribute ords right after it;
+		// an attribute has none.
+		n := int32(ix.Len())
+		for _, o := range list {
+			if ix.IsAttr(o) {
+				continue
+			}
+			for c := o + 1; c < n && ix.IsAttr(c); c++ {
+				if ts.HasOrd(int(c)) {
+					out = append(out, c)
 				}
 			}
 		}
 	case ast.AxisParent:
 		m.ensureMarks()
-		for _, n := range list {
-			if p := n.Parent; p != nil && !m.marks[p.Ord] && ts.HasOrd(int(p.Ord)) {
-				m.marks[p.Ord] = true
+		par := ix.ParentOrds()
+		for _, o := range list {
+			if p := par[o]; p >= 0 && !m.marks[p] && ts.HasOrd(int(p)) {
+				m.marks[p] = true
 				out = append(out, p)
 			}
 		}
-		for _, n := range out {
-			m.marks[n.Ord] = false
+		for _, o := range out {
+			m.marks[o] = false
 		}
 	case ast.AxisAncestor, ast.AxisAncestorOrSelf:
 		// Walk parent chains with a visited-stop: once a chain hits an
 		// already-visited node the rest of it is visited too.
 		m.ensureMarks()
-		par := m.ix.ParentOrds()
-		vb := m.nodeBuf(&m.visBuf)
-		visited := (*vb)[:0]
-		for _, n := range list {
-			j := n.Ord
+		par := ix.ParentOrds()
+		visited := m.visited[:0]
+		for _, o := range list {
+			j := o
 			if a == ast.AxisAncestor {
-				j = par[n.Ord]
+				j = par[o]
 			}
 			for ; j >= 0 && !m.marks[j]; j = par[j] {
 				m.marks[j] = true
-				visited = append(visited, m.doc.Nodes[j])
+				visited = append(visited, j)
 			}
 		}
-		*vb = visited
+		m.visited = visited
 		for _, v := range visited {
-			m.marks[v.Ord] = false
-			if ts.HasOrd(int(v.Ord)) {
+			m.marks[v] = false
+			if ts.HasOrd(int(v)) {
 				out = append(out, v)
 			}
 		}
 	case ast.AxisFollowingSibling:
 		// The same visited-stop trick along next-sibling chains.
 		m.ensureMarks()
-		next := m.ix.NextSiblingOrds()
-		vb := m.nodeBuf(&m.visBuf)
-		visited := (*vb)[:0]
-		for _, n := range list {
-			for j := next[n.Ord]; j >= 0 && !m.marks[j]; j = next[j] {
+		next := ix.NextSiblingOrds()
+		visited := m.visited[:0]
+		for _, o := range list {
+			for j := next[o]; j >= 0 && !m.marks[j]; j = next[j] {
 				m.marks[j] = true
-				visited = append(visited, m.doc.Nodes[j])
+				visited = append(visited, j)
 			}
 		}
-		*vb = visited
+		m.visited = visited
 		for _, v := range visited {
-			m.marks[v.Ord] = false
-			if ts.HasOrd(int(v.Ord)) {
+			m.marks[v] = false
+			if ts.HasOrd(int(v)) {
 				out = append(out, v)
 			}
 		}
 	case ast.AxisDescendant, ast.AxisDescendantOrSelf:
 		// After pruning nested members the surviving subtrees are
-		// pairwise disjoint; SelectFast slices the index's tag lists.
+		// pairwise disjoint; AppendSelectOrds slices the index's tag
+		// lists (or, for node(), the subtree's ord range).
 		t := m.prog.Tests[ti].Test
-		for _, n := range m.pruneNested(list) {
-			sel, ok := axes.SelectFast(m.ix, a, t, n)
-			if !ok {
+		for _, o := range m.pruneNested(list) {
+			if a == ast.AxisDescendantOrSelf && ts.HasOrd(int(o)) {
+				out = append(out, o)
+			}
+			var ok bool
+			if out, ok = axes.AppendSelectOrds(out, ix, a, t, o); !ok {
 				return nil, false
 			}
-			out = append(out, sel...)
 		}
 	case ast.AxisFollowing, ast.AxisPreceding:
 		if len(list) != 1 {
 			return nil, false
 		}
-		sel, ok := axes.SelectFast(m.ix, a, m.prog.Tests[ti].Test, list[0])
-		if !ok {
+		var ok bool
+		if out, ok = axes.AppendSelectOrds(out, ix, a, m.prog.Tests[ti].Test, list[0]); !ok {
 			return nil, false
 		}
-		out = append(out, sel...)
 	default:
 		return nil, false
 	}
@@ -850,48 +874,39 @@ func (m *machine) ensureMarks() {
 	}
 }
 
-func (m *machine) nodeBuf(p **[]*xmltree.Node) *[]*xmltree.Node {
-	if *p == nil {
-		*p = m.arena.NodeBuf()
-	}
-	return *p
-}
-
-// pruneNested drops list members lying inside another member's subtree
-// (attributes share their owner's interval and survive alongside it).
+// pruneNested drops the non-attribute list members lying inside
+// another member's subtree, comparing ord ranges: a member's subtree
+// is [o, SubtreeEnd(o)). Attributes always survive: the subtree ranges
+// the descendant axes select from skip attributes, so a nested
+// attribute's own descendant-or-self member would otherwise be lost.
 //
 // A frontier assembled by a previous descendant step is a concatenation
 // of disjoint subtree slices in document order, so it arrives already
-// sorted; one O(n) ordered-scan detects that and skips the
-// comparator-driven sort, which otherwise dominates descendant-chain
-// queries. (corelinear sorts unconditionally — this is a compiled-form
-// win: the bytecode's step pipeline makes the invariant cheap to
-// exploit.)
-func (m *machine) pruneNested(list []*xmltree.Node) []*xmltree.Node {
+// sorted; one O(n) ordered scan detects that and skips the sort, which
+// otherwise dominates descendant-chain queries. (corelinear sorts
+// unconditionally — this is a compiled-form win: the bytecode's step
+// pipeline makes the invariant cheap to exploit.)
+func (m *machine) pruneNested(list []int32) []int32 {
 	if len(list) <= 1 {
 		return list
 	}
-	inOrder := true
-	for i := 1; i < len(list); i++ {
-		if list[i-1].Pre > list[i].Pre {
-			inOrder = false
-			break
-		}
-	}
-	pb := m.nodeBuf(&m.pruneBuf)
-	sorted := append((*pb)[:0], list...)
-	*pb = sorted
-	if !inOrder {
-		slices.SortFunc(sorted, func(a, b *xmltree.Node) int { return int(a.Pre - b.Pre) })
+	sorted := append(m.pruned[:0], list...)
+	m.pruned = sorted
+	if !slices.IsSorted(sorted) {
+		slices.Sort(sorted)
 	}
 	out := sorted[:0]
-	for _, n := range sorted {
-		if len(out) > 0 {
-			if last := out[len(out)-1]; n.Pre > last.Pre && n.Post < last.Post {
-				continue
-			}
+	end := int32(-1)
+	for _, o := range sorted {
+		if m.ix.IsAttr(o) {
+			out = append(out, o)
+			continue
 		}
-		out = append(out, n)
+		if o < end {
+			continue
+		}
+		out = append(out, o)
+		end = m.ix.SubtreeEnd(o)
 	}
 	return out
 }

@@ -621,3 +621,104 @@ func TestBudgetNoPartialResult(t *testing.T) {
 		}
 	}
 }
+
+// TestSparseFrontierAgreesWithCorelinear drives the VM's ord-list
+// frontier through its harder shapes on random documents large enough
+// to keep the frontier sparse, from the root and from element, text and
+// attribute context nodes, and compares every result with corelinear
+// (indexed and cold) and cvt: frontiers that pruneNested must thin
+// (nested descendant chains, ancestor-or-self feeding a descendant
+// step), attributes in the frontier (descendant-or-self and the
+// document-order axes from an attribute, an attribute beside its own
+// owner and nested inside another member's subtree), and
+// following-sibling and ancestor chains.
+func TestSparseFrontierAgreesWithCorelinear(t *testing.T) {
+	// '//' is spelled as a descendant step: a descendant-or-self::node()
+	// step from the root would demote the frontier at once.
+	queries := []string{
+		// Pruned-nested frontiers.
+		"/descendant::a/descendant::b", "/descendant::a/descendant-or-self::*/descendant::c",
+		"/descendant::b/ancestor::*/descendant::a",
+		"/descendant::c/ancestor-or-self::node()/descendant-or-self::b",
+		"/descendant::a/descendant::a/descendant::b",
+		"descendant::b/descendant-or-self::node()/descendant::c",
+		// Attributes in the frontier.
+		"/descendant::*/@id/ancestor-or-self::node()/descendant-or-self::node()",
+		"/descendant::b/@id/ancestor-or-self::node()/descendant-or-self::node()",
+		"/descendant::a/@*/ancestor-or-self::*/descendant-or-self::node()",
+		"/descendant::c/@id/parent::*/ancestor-or-self::node()/descendant-or-self::node()",
+		"/descendant::*/@id/descendant-or-self::node()", "/descendant::*/@id/descendant::node()",
+		"/descendant::b/@id/self::node()/descendant-or-self::*", "/descendant::c/@id/parent::*/@id",
+		"/descendant::a/@id/following::b", "/descendant::b/@id/preceding::node()",
+		"/descendant::c/@id/following-sibling::node()", "/descendant::a/@id/ancestor::*/@id",
+		"/descendant::a[@id]/@id/../descendant-or-self::node()",
+		"self::node()/descendant-or-self::node()", "descendant-or-self::node()/child::node()",
+		"following::node()", "preceding::node()", "attribute::*/following::c",
+		// Following-sibling and ancestor chains.
+		"/descendant::b/following-sibling::*/ancestor::a/following-sibling::c",
+		"/descendant::c/ancestor::*/following-sibling::node()",
+		"/descendant::a/following-sibling::a/following-sibling::b",
+		"/descendant::b/ancestor-or-self::a/ancestor::b",
+		"/descendant::text()/ancestor::*/following-sibling::*/child::text()",
+		"/descendant::a/parent::*/parent::*/following-sibling::*",
+		// Positional steps ranking a sparse frontier.
+		"/descendant::a/child::b[1]", "/descendant::b/child::*[last()]", "/descendant::a/@*[1]",
+		"/descendant::c/child::node()[position() = 2]",
+	}
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 12; trial++ {
+		doc := xmltree.RandomDocument(rng, xmltree.GenConfig{
+			Nodes: 150 + rng.Intn(250), MaxFanout: 2 + trial%4, Tags: []string{"a", "b", "c"},
+			TextProb: 0.2, AttrProb: 0.35,
+		})
+		if trial%2 == 1 {
+			doc = xmltree.Compact(doc)
+		}
+		ctxs := []*xmltree.Node{doc.Root}
+		for _, want := range []xmltree.NodeType{xmltree.ElementNode, xmltree.TextNode, xmltree.AttributeNode} {
+			for _, n := range doc.Nodes[len(doc.Nodes)/3:] {
+				if n.Type == want {
+					ctxs = append(ctxs, n)
+					break
+				}
+			}
+		}
+		for _, q := range queries {
+			expr := parser.MustParse(q)
+			prog, err := Compile(expr)
+			if err != nil {
+				t.Fatalf("compile %q: %v", q, err)
+			}
+			for _, n := range ctxs {
+				ctx := evalctx.At(n)
+				want, err := cvt.Evaluate(expr, ctx, nil)
+				if err != nil {
+					t.Fatalf("cvt %q: %v", q, err)
+				}
+				for _, ref := range []struct {
+					name string
+					opts corelinear.Options
+				}{{"corelinear", corelinear.Options{}}, {"corelinear-cold", corelinear.Options{DisableIndex: true}}} {
+					got, err := corelinear.EvaluateOptions(expr, ctx, ref.opts)
+					if err != nil {
+						t.Fatalf("%s %q: %v", ref.name, q, err)
+					}
+					if !value.Equal(want, got) {
+						t.Fatalf("trial %d %q from #%d: cvt %.300s, %s %.300s",
+							trial, q, n.Ord, enginetest.CanonValue(want), ref.name, enginetest.CanonValue(got))
+					}
+				}
+				for _, disableIdx := range []bool{false, true} {
+					got, err := prog.Run(ctx, RunOptions{DisableIndex: disableIdx})
+					if err != nil {
+						t.Fatalf("vm %q: %v", q, err)
+					}
+					if !value.Equal(want, got) {
+						t.Fatalf("trial %d %q from #%d (noindex=%v): cvt %.300s, vm %.300s",
+							trial, q, n.Ord, disableIdx, enginetest.CanonValue(want), enginetest.CanonValue(got))
+					}
+				}
+			}
+		}
+	}
+}

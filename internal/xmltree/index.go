@@ -1,19 +1,25 @@
 package xmltree
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Index is the precomputed access-path layer of a document: per-tag node
-// lists, per-kind node lists, and the flat first-child/next-sibling/
-// parent arrays of the document's link core. Together with the pre/post
-// numbering already carried by every node it turns the axis evaluations
-// of the engines from tree walks into list slices and binary searches
-// (the SXSI/"whole query optimization" direction: the paper settles the
-// asymptotics, the index buys the constant factors).
+// Index is the precomputed access-path layer of a document, kept as
+// ords (positions in Document.Nodes) over the link core: per-tag,
+// per-attribute and per-kind ord lists, the flat first-child/
+// next-sibling/parent arrays and the attribute mask. Ords in document
+// order number every subtree contiguously (an element, then its
+// attributes, then its descendants), so the subtree, following and
+// preceding axes become slices of a sorted ord list and the node()
+// test an ord range minus the attribute mask: the O(1) access to
+// links, kinds and document order that the linear-time bounds assume,
+// without a second, pointer-sized copy of the core (the SXSI/"whole
+// query optimization" direction: the paper settles the asymptotics,
+// the index buys the constant factors). Callers that need nodes read
+// them as Document.Nodes[ord].
 //
 // An Index is immutable once built and is shared freely across
 // goroutines. It is built lazily behind Document.Index and cached on the
@@ -22,27 +28,26 @@ import (
 type Index struct {
 	doc *Document
 
-	// elemsByTag maps each element tag to its elements in document order
-	// (equivalently: increasing Pre order).
-	elemsByTag map[string][]*Node
-	// attrsByName maps each attribute name to its attribute nodes in
-	// document order.
-	attrsByName map[string][]*Node
-	// elements, texts, comments, procInsts list all nodes of one kind in
-	// document order; treeNodes lists every non-attribute node (what the
-	// node() test selects on the tree axes).
-	elements  []*Node
-	texts     []*Node
-	comments  []*Node
-	procInsts []*Node
-	treeNodes []*Node
+	// elemsByTag maps each element tag to its element ords in document
+	// order, and attrsByName each attribute name to its attribute ords:
+	// the link core's per-name lists, shared with it (a columnar
+	// view's are its store's).
+	elemsByTag  map[string][]int32
+	attrsByName map[string][]int32
+	// elements, texts, comments and procInsts list the ords of one node
+	// kind in document order, carved from one backing.
+	elements  []int32
+	texts     []int32
+	comments  []int32
+	procInsts []int32
 
 	// links are the document's first-child, next-sibling and parent
 	// arrays, indexed by Node.Ord and holding the Ord of the respective
 	// neighbour, or -1; attribute entries carry parent only. Shared
 	// with the document's link core, never copied. With attrMask they
-	// let the dense set operations of package nodeset run over
-	// contiguous memory instead of chasing Node pointers.
+	// let the dense set operations of package nodeset and the VM's
+	// sparse frontier run over contiguous memory instead of chasing
+	// Node pointers.
 	links
 	// attrMask flags attribute nodes by Ord, word-packed (bit Ord%64 of
 	// word Ord/64) in the layout of package nodeset's bitsets, so
@@ -116,8 +121,9 @@ func (d *Document) invalidateIndex() {
 }
 
 // buildIndex builds the index over the document's link core: the links
-// are aliased, not copied, and the per-name ord lists become node
-// lists. A tree-built document fills its core first, from one walk.
+// and the per-name ord lists are aliased, not copied; the per-kind
+// lists and the attribute mask come from one pass over the node kinds.
+// A tree-built document fills its core first, from one walk.
 func buildIndex(d *Document) *Index {
 	n := len(d.Nodes)
 	if d.parent == nil {
@@ -126,104 +132,76 @@ func buildIndex(d *Document) *Index {
 		d.tagOrds, d.attrOrds = treeOrdLists(d.Nodes)
 	}
 	ix := &Index{
-		doc:      d,
-		links:    d.links,
-		attrMask: make([]uint64, (n+63)>>6),
+		doc:         d,
+		elemsByTag:  d.tagOrds,
+		attrsByName: d.attrOrds,
+		links:       d.links,
+		attrMask:    make([]uint64, (n+63)>>6),
 	}
-	ix.elemsByTag = nodeLists(d, d.tagOrds)
-	ix.attrsByName = nodeLists(d, d.attrOrds)
-	if d.col == nil {
-		// The node lists hold what the ord lists did; only a columnar
-		// store keeps its ord lists, for the next hydration.
-		d.tagOrds, d.attrOrds = nil, nil
-	}
-
-	var nelem, ntext, ncomment, npi, ntree int
+	var count [ProcInstNode + 1]int
 	for _, m := range d.Nodes {
+		count[m.Type]++
+	}
+	backing := make([]int32, n-count[RootNode]-count[AttributeNode])
+	carve := func(t NodeType) []int32 {
+		l := backing[:0:count[t]]
+		backing = backing[count[t]:]
+		return l
+	}
+	ix.elements = carve(ElementNode)
+	ix.texts = carve(TextNode)
+	ix.comments = carve(CommentNode)
+	ix.procInsts = carve(ProcInstNode)
+	for ord, m := range d.Nodes {
+		o := int32(ord)
 		switch m.Type {
 		case ElementNode:
-			nelem++
-		case TextNode:
-			ntext++
-		case CommentNode:
-			ncomment++
-		case ProcInstNode:
-			npi++
-		}
-		if m.Type != AttributeNode {
-			ntree++
-		}
-	}
-	ix.elements = make([]*Node, 0, nelem)
-	ix.texts = make([]*Node, 0, ntext)
-	ix.comments = make([]*Node, 0, ncomment)
-	ix.procInsts = make([]*Node, 0, npi)
-	ix.treeNodes = make([]*Node, 0, ntree)
-	for _, m := range d.Nodes {
-		switch m.Type {
-		case ElementNode:
-			ix.elements = append(ix.elements, m)
+			ix.elements = append(ix.elements, o)
 		case AttributeNode:
-			ix.attrMask[m.Ord>>6] |= 1 << (uint(m.Ord) & 63)
-			continue
+			ix.attrMask[ord>>6] |= 1 << (uint(ord) & 63)
 		case TextNode:
-			ix.texts = append(ix.texts, m)
+			ix.texts = append(ix.texts, o)
 		case CommentNode:
-			ix.comments = append(ix.comments, m)
+			ix.comments = append(ix.comments, o)
 		case ProcInstNode:
-			ix.procInsts = append(ix.procInsts, m)
+			ix.procInsts = append(ix.procInsts, o)
 		}
-		ix.treeNodes = append(ix.treeNodes, m)
 	}
 	return ix
-}
-
-// nodeLists maps per-name ord lists to node lists, carved from one
-// backing.
-func nodeLists(d *Document, ords map[string][]int32) map[string][]*Node {
-	total := 0
-	for _, l := range ords {
-		total += len(l)
-	}
-	backing := make([]*Node, 0, total)
-	out := make(map[string][]*Node, len(ords))
-	for name, l := range ords {
-		start := len(backing)
-		for _, o := range l {
-			backing = append(backing, d.Nodes[o])
-		}
-		out[name] = backing[start:len(backing):len(backing)]
-	}
-	return out
 }
 
 // Doc returns the indexed document.
 func (ix *Index) Doc() *Document { return ix.doc }
 
-// ElementsByTag returns every element with the given tag in document
-// order. The returned slice is shared and must not be modified.
-func (ix *Index) ElementsByTag(tag string) []*Node { return ix.elemsByTag[tag] }
+// Len is the number of nodes of the indexed document: every ord lies
+// in [0, Len()).
+func (ix *Index) Len() int { return len(ix.parent) }
 
-// AttributesByName returns every attribute node with the given name in
-// document order. The returned slice is shared and must not be modified.
-func (ix *Index) AttributesByName(name string) []*Node { return ix.attrsByName[name] }
+// ElementsByTag returns the ords of every element with the given tag in
+// document order. The returned slice is shared and must not be
+// modified.
+func (ix *Index) ElementsByTag(tag string) []int32 { return ix.elemsByTag[tag] }
 
-// Elements returns all element nodes in document order (shared slice).
-func (ix *Index) Elements() []*Node { return ix.elements }
+// AttributesByName returns the ords of every attribute node with the
+// given name in document order. The returned slice is shared and must
+// not be modified.
+func (ix *Index) AttributesByName(name string) []int32 { return ix.attrsByName[name] }
 
-// Texts returns all text nodes in document order (shared slice).
-func (ix *Index) Texts() []*Node { return ix.texts }
-
-// Comments returns all comment nodes in document order (shared slice).
-func (ix *Index) Comments() []*Node { return ix.comments }
-
-// ProcInsts returns all processing instructions in document order
+// Elements returns the ords of all element nodes in document order
 // (shared slice).
-func (ix *Index) ProcInsts() []*Node { return ix.procInsts }
+func (ix *Index) Elements() []int32 { return ix.elements }
 
-// TreeNodes returns all non-attribute nodes in document order (shared
-// slice): the candidate list of the node() test on the tree axes.
-func (ix *Index) TreeNodes() []*Node { return ix.treeNodes }
+// Texts returns the ords of all text nodes in document order (shared
+// slice).
+func (ix *Index) Texts() []int32 { return ix.texts }
+
+// Comments returns the ords of all comment nodes in document order
+// (shared slice).
+func (ix *Index) Comments() []int32 { return ix.comments }
+
+// ProcInsts returns the ords of all processing instructions in
+// document order (shared slice).
+func (ix *Index) ProcInsts() []int32 { return ix.procInsts }
 
 // ParentOrds returns the flat parent array indexed by Ord (-1 = no
 // parent). Shared storage; read-only.
@@ -244,63 +222,33 @@ func (ix *Index) NextSiblingOrds() []int32 { return ix.nextSibling }
 // Shared storage; read-only.
 func (ix *Index) AttrMask() []uint64 { return ix.attrMask }
 
-// SubtreeSlice returns the contiguous sublist of list lying strictly
-// inside n's subtree. list must be sorted by document order and contain
-// no attribute nodes (any of the Index node lists qualifies); because
-// pre-order numbers a subtree contiguously, the proper descendants form
-// one slice, found by two binary searches. The result aliases list and
-// must not be modified.
-func SubtreeSlice(list []*Node, n *Node) []*Node {
-	if n.Type == AttributeNode || len(list) == 0 {
-		return nil
-	}
-	// First list member with Pre > n.Pre.
-	lo := sort.Search(len(list), func(i int) bool { return list[i].Pre > n.Pre })
-	// Among those, descendants (Post < n.Post) precede non-descendants.
-	hi := lo + sort.Search(len(list)-lo, func(i int) bool { return list[lo+i].Post > n.Post })
-	return list[lo:hi]
-}
+// IsAttr reports whether ord o is an attribute node.
+func (ix *Index) IsAttr(o int32) bool { return ix.attrMask[o>>6]&(1<<(uint(o)&63)) != 0 }
 
-// FollowingSlice returns the suffix of list containing exactly the nodes
-// on n's following axis: after n in document order and not descendants
-// of n. list must be sorted by document order and contain no attribute
-// nodes. For an attribute context node the following axis contains every
-// later non-attribute node, including the owner's subtree. The result
-// aliases list and must not be modified.
-func FollowingSlice(list []*Node, n *Node) []*Node {
-	if len(list) == 0 {
-		return nil
+// SubtreeEnd returns the first ord after o's subtree: o, its attributes
+// and its descendants with theirs are exactly the ords in
+// [o, SubtreeEnd(o)). An attribute's subtree is itself. The end is the
+// next sibling of the nearest ancestor-or-self that has one (Len() when
+// none does), found by a walk up the link arrays.
+func (ix *Index) SubtreeEnd(o int32) int32 {
+	if ix.IsAttr(o) {
+		return o + 1
 	}
-	if n.Type == AttributeNode {
-		// Attributes share the owner's Pre; everything strictly after it
-		// (the owner's subtree onward) follows the attribute.
-		lo := sort.Search(len(list), func(i int) bool { return list[i].Pre > n.Pre })
-		return list[lo:]
-	}
-	lo := sort.Search(len(list), func(i int) bool { return list[i].Pre > n.Pre })
-	lo += sort.Search(len(list)-lo, func(i int) bool { return list[lo+i].Post > n.Post })
-	return list[lo:]
-}
-
-// PrecedingScan appends to dst the members of list on n's preceding
-// axis: before n in document order, excluding n's ancestors. list must
-// be sorted by document order and contain no attribute nodes. An
-// attribute context node behaves like its owning element.
-func PrecedingScan(dst []*Node, list []*Node, n *Node) []*Node {
-	anchor := n
-	if n.Type == AttributeNode {
-		anchor = n.Parent
-		if anchor == nil {
-			return dst
+	for ; o >= 0; o = ix.parent[o] {
+		if s := ix.nextSibling[o]; s >= 0 {
+			return s
 		}
 	}
-	hi := sort.Search(len(list), func(i int) bool { return list[i].Pre >= anchor.Pre })
-	for _, m := range list[:hi] {
-		if m.Post < anchor.Post { // not an ancestor
-			dst = append(dst, m)
-		}
-	}
-	return dst
+	return int32(len(ix.parent))
+}
+
+// OrdsIn returns the members of list, an ord list in document order,
+// that lie in [lo, hi): one contiguous slice, found by two binary
+// searches. The result aliases list and must not be modified.
+func OrdsIn(list []int32, lo, hi int32) []int32 {
+	i, _ := slices.BinarySearch(list, lo)
+	j, _ := slices.BinarySearch(list[i:], hi)
+	return list[i : i+j]
 }
 
 // TestWords returns the membership bitset cached under key, computing

@@ -59,47 +59,64 @@ func TestIndexPrePostAgreesWithWalks(t *testing.T) {
 	}
 }
 
-// Metamorphic: every index list must agree with a full document scan.
+// indexedWays returns a random document as every backend holds it: the
+// tree-built original, its columnar conversion, and a pointer and a
+// columnar parse of its serialization.
+func indexedWays(t *testing.T, seed int64, nodes int) map[string]*xmltree.Document {
+	t.Helper()
+	d := randomIndexedDoc(t, seed, nodes)
+	src := d.XMLString()
+	return map[string]*xmltree.Document{
+		"tree":     d,
+		"compact":  xmltree.Compact(d.Copy()),
+		"pointer":  parseBackend(t, src, xmltree.BackendPointer),
+		"columnar": parseBackend(t, src, xmltree.BackendColumnar),
+	}
+}
+
+// Metamorphic: every index ord list must agree with a full document
+// scan, on both backends.
 func TestIndexListsAgreeWithFullScan(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		d := randomIndexedDoc(t, seed, 150)
-		ix := d.Index()
-		byTag := map[string][]*xmltree.Node{}
-		byAttr := map[string][]*xmltree.Node{}
-		var elements, texts []*xmltree.Node
-		for _, n := range d.Nodes {
-			switch n.Type {
-			case xmltree.ElementNode:
-				byTag[n.Name] = append(byTag[n.Name], n)
-				elements = append(elements, n)
-			case xmltree.AttributeNode:
-				byAttr[n.Name] = append(byAttr[n.Name], n)
-			case xmltree.TextNode:
-				texts = append(texts, n)
-			}
-		}
-		sameNodes := func(what string, got, want []*xmltree.Node) {
-			t.Helper()
-			if len(got) != len(want) {
-				t.Fatalf("seed %d: %s: %d nodes, scan found %d", seed, what, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d: %s: node %d differs (#%d vs #%d)",
-						seed, what, i, got[i].Ord, want[i].Ord)
+		for way, d := range indexedWays(t, seed, 150) {
+			ix := d.Index()
+			byTag := map[string][]int32{}
+			byAttr := map[string][]int32{}
+			byKind := map[xmltree.NodeType][]int32{}
+			for _, n := range d.Nodes {
+				switch n.Type {
+				case xmltree.ElementNode:
+					byTag[n.Name] = append(byTag[n.Name], n.Ord)
+				case xmltree.AttributeNode:
+					byAttr[n.Name] = append(byAttr[n.Name], n.Ord)
+				}
+				byKind[n.Type] = append(byKind[n.Type], n.Ord)
+				if got, want := ix.IsAttr(n.Ord), n.Type == xmltree.AttributeNode; got != want {
+					t.Fatalf("seed %d %s: IsAttr(#%d) = %v, want %v", seed, way, n.Ord, got, want)
 				}
 			}
-		}
-		for tag, want := range byTag {
-			sameNodes("tag "+tag, ix.ElementsByTag(tag), want)
-		}
-		for name, want := range byAttr {
-			sameNodes("attr "+name, ix.AttributesByName(name), want)
-		}
-		sameNodes("elements", ix.Elements(), elements)
-		sameNodes("texts", ix.Texts(), texts)
-		if got := ix.ElementsByTag("no-such-tag"); got != nil {
-			t.Fatalf("unknown tag returned %d nodes", len(got))
+			same := func(what string, got, want []int32) {
+				t.Helper()
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d %s: %s: ords %v, scan found %v", seed, way, what, got, want)
+				}
+			}
+			for tag, want := range byTag {
+				same("tag "+tag, ix.ElementsByTag(tag), want)
+			}
+			for name, want := range byAttr {
+				same("attr "+name, ix.AttributesByName(name), want)
+			}
+			same("elements", ix.Elements(), byKind[xmltree.ElementNode])
+			same("texts", ix.Texts(), byKind[xmltree.TextNode])
+			same("comments", ix.Comments(), byKind[xmltree.CommentNode])
+			same("processing instructions", ix.ProcInsts(), byKind[xmltree.ProcInstNode])
+			if got := ix.ElementsByTag("no-such-tag"); got != nil {
+				t.Fatalf("seed %d %s: unknown tag returned %d ords", seed, way, len(got))
+			}
+			if ix.Len() != len(d.Nodes) {
+				t.Fatalf("seed %d %s: Len = %d, want %d", seed, way, ix.Len(), len(d.Nodes))
+			}
 		}
 	}
 }
@@ -193,56 +210,57 @@ func checkLinksMirrorPointers(t *testing.T, way string, d *xmltree.Document) {
 	}
 }
 
-// Metamorphic: SubtreeSlice/FollowingSlice/PrecedingScan over every tag
-// list must agree with the naive definition via ancestor walks, for
-// every context node including attributes.
+// Metamorphic: the ord ranges SubtreeEnd bounds, and OrdsIn's slices
+// of every tag list, must agree with the naive definitions via
+// ancestor walks, for every context node including attributes, on both
+// backends: the subtree [o, SubtreeEnd(o)) holds o and exactly its
+// attributes and descendants, and the following axis of a non-attribute
+// node is every later non-attribute node outside it.
 func TestIndexSlicesAgreeWithNaiveDefinitions(t *testing.T) {
 	for seed := int64(3); seed <= 6; seed++ {
-		d := randomIndexedDoc(t, seed, 100)
-		ix := d.Index()
-		tags := []string{"zz"}
-		for _, n := range d.Nodes {
-			if n.Type == xmltree.ElementNode && !slices.Contains(tags, n.Name) {
-				tags = append(tags, n.Name)
+		for way, d := range indexedWays(t, seed, 100) {
+			ix := d.Index()
+			n := int32(len(d.Nodes))
+			tags := []string{"zz"}
+			for _, m := range d.Nodes {
+				if m.Type == xmltree.ElementNode && !slices.Contains(tags, m.Name) {
+					tags = append(tags, m.Name)
+				}
 			}
-		}
-		for _, tag := range tags {
-			list := ix.ElementsByTag(tag)
-			for _, n := range d.Nodes {
-				var wantDesc, wantFoll, wantPrec []*xmltree.Node
-				anchor := n
-				if n.Type == xmltree.AttributeNode {
-					anchor = n.Parent
+			inSubtree := func(ctx, m *xmltree.Node) bool {
+				if ctx.Type == xmltree.AttributeNode {
+					return m == ctx
 				}
-				for _, m := range list {
-					switch {
-					case n.Type != xmltree.AttributeNode && n.IsAncestorOf(m):
-						wantDesc = append(wantDesc, m)
-					case n.Type == xmltree.AttributeNode && m.Ord > n.Ord:
-						wantFoll = append(wantFoll, m)
-					case n.Type != xmltree.AttributeNode && m.Pre > n.Pre && !n.IsAncestorOf(m):
-						wantFoll = append(wantFoll, m)
-					}
-					if m.Pre < anchor.Pre && !m.IsAncestorOf(anchor) && m != anchor {
-						wantPrec = append(wantPrec, m)
+				return m == ctx || ctx.IsAncestorOf(m)
+			}
+			for _, ctx := range d.Nodes {
+				end := ix.SubtreeEnd(ctx.Ord)
+				for _, m := range d.Nodes {
+					if got, want := m.Ord >= ctx.Ord && m.Ord < end, inSubtree(ctx, m); got != want {
+						t.Fatalf("seed %d %s: #%d in [#%d, %d) = %v, ancestor walk says %v",
+							seed, way, m.Ord, ctx.Ord, end, got, want)
 					}
 				}
-				check := func(what string, got, want []*xmltree.Node) {
-					t.Helper()
-					if len(got) != len(want) {
-						t.Fatalf("seed %d tag %s ctx #%d: %s: got %d, want %d",
-							seed, tag, n.Ord, what, len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("seed %d tag %s ctx #%d: %s differs at %d", seed, tag, n.Ord, what, i)
+				for _, tag := range tags {
+					list := ix.ElementsByTag(tag)
+					var wantDesc, wantFoll []int32
+					for _, o := range list {
+						m := d.Nodes[o]
+						switch {
+						case ctx.Type != xmltree.AttributeNode && ctx.IsAncestorOf(m):
+							wantDesc = append(wantDesc, o)
+						case ctx.Type == xmltree.AttributeNode && o > ctx.Ord:
+							wantFoll = append(wantFoll, o)
+						case ctx.Type != xmltree.AttributeNode && m.Pre > ctx.Pre && !ctx.IsAncestorOf(m):
+							wantFoll = append(wantFoll, o)
 						}
 					}
-				}
-				check("subtree", xmltree.SubtreeSlice(list, n), wantDesc)
-				check("following", xmltree.FollowingSlice(list, n), wantFoll)
-				if anchor != nil {
-					check("preceding", xmltree.PrecedingScan(nil, list, n), wantPrec)
+					if got := xmltree.OrdsIn(list, ctx.Ord+1, end); !slices.Equal(got, wantDesc) && len(got)+len(wantDesc) > 0 {
+						t.Fatalf("seed %d %s tag %s ctx #%d: subtree %v, want %v", seed, way, tag, ctx.Ord, got, wantDesc)
+					}
+					if got := xmltree.OrdsIn(list, end, n); !slices.Equal(got, wantFoll) && len(got)+len(wantFoll) > 0 {
+						t.Fatalf("seed %d %s tag %s ctx #%d: following %v, want %v", seed, way, tag, ctx.Ord, got, wantFoll)
+					}
 				}
 			}
 		}

@@ -15,9 +15,9 @@
 //     of the tree (treeLinks, which NewColumnar shares) when its index
 //     is first built.
 //
-// The evaluation engines keep *Node as their node handle: it is the
-// public result type and the zero-indirection representation the hot
-// loops were tuned on (docs/PERFORMANCE.md). The two backends differ in
+// The index and the VM's sparse frontier work on ords over this core;
+// the tree engines keep *Node as their node handle, and *Node is the
+// public result type (docs/PERFORMANCE.md). The two backends differ in
 // what stays resident besides it. For the pointer backend the node graph
 // is the document, so it cannot be demoted, only evicted. The columnar
 // backend keeps its structural truth in flat arrays (columnar.go) and
@@ -94,10 +94,32 @@ func treeLinks(nodes []*Node, l links) {
 }
 
 // treeOrdLists groups the element and attribute ords of a built tree by
-// name, in document order.
+// name, in document order, carving the lists at their exact size from
+// one backing as the scanner does.
 func treeOrdLists(nodes []*Node) (tags, attrs map[string][]int32) {
-	tags = make(map[string][]int32)
-	attrs = make(map[string][]int32)
+	ntags, nattrs := make(map[string]int), make(map[string]int)
+	total := 0
+	for _, m := range nodes {
+		switch m.Type {
+		case ElementNode:
+			ntags[m.Name]++
+		case AttributeNode:
+			nattrs[m.Name]++
+		default:
+			continue
+		}
+		total++
+	}
+	backing := make([]int32, total)
+	carve := func(counts map[string]int) map[string][]int32 {
+		lists := make(map[string][]int32, len(counts))
+		for name, c := range counts {
+			lists[name] = backing[:0:c]
+			backing = backing[c:]
+		}
+		return lists
+	}
+	tags, attrs = carve(ntags), carve(nattrs)
 	for ord, m := range nodes {
 		switch m.Type {
 		case ElementNode:
@@ -117,8 +139,8 @@ type core struct {
 	// links are nil on a tree-built document until its index is built.
 	links
 	// tagOrds and attrOrds are the per-tag element and per-name
-	// attribute ord lists, in document order. A pointer document drops
-	// them once its index holds them as node lists.
+	// attribute ord lists, in document order; the index serves them
+	// as they are.
 	tagOrds  map[string][]int32
 	attrOrds map[string][]int32
 	// col is the columnar store behind a hydrated view; nil for a
@@ -188,10 +210,10 @@ func (d *Document) StoreSizeBytes() int64 {
 // ResidentBytes is the full resident footprint of this document as
 // held: the storage encoding; for a hydrated columnar document, the
 // node-handle slab serving evaluation; for a pointer document, the link
-// core it owns (a columnar view's links belong to its store); and the
-// index's node lists and attribute mask. The index share is computed
-// from the node-kind counts, so a document is charged the same before
-// and after its index is first built.
+// core it owns (a columnar view's links and ord lists belong to its
+// store); and the index's ord lists and attribute mask. The index share
+// is computed from the node-kind counts, so a document is charged the
+// same before and after its index is first built.
 func (d *Document) ResidentBytes() int64 {
 	size := d.StoreSizeBytes() + d.viewBytes + d.indexBytes()
 	if d.col == nil {
@@ -201,18 +223,18 @@ func (d *Document) ResidentBytes() int64 {
 }
 
 // indexBytes is the footprint of the document's index: the Index
-// struct, the per-tag and per-attribute node lists (one backing each),
-// the per-kind lists, the tree-node list and the attribute mask, as
-// buildIndex allocates them. The two name maps' entries and the
-// node-test bitsets built on demand are not counted.
+// struct, the per-kind ord lists (one backing), the attribute mask and,
+// for a pointer document, the per-tag and per-attribute ord lists of
+// its link core (a columnar store counts its own). The two name maps'
+// entries and the node-test bitsets built on demand are not counted.
 func (d *Document) indexBytes() int64 {
-	const ptrSize = int64(unsafe.Sizeof((*Node)(nil)))
 	n, elems, attrs := int64(len(d.Nodes)), int64(d.elems), int64(d.attrs)
-	slots := elems + attrs // elemsByTag, attrsByName
-	slots += n - 1 - attrs // elements, texts, comments, procInsts
-	slots += n - attrs     // treeNodes
+	ords := n - 1 - attrs // elements, texts, comments, procInsts
+	if d.col == nil {
+		ords += elems + attrs // elemsByTag, attrsByName
+	}
 	mask := ((n + 63) >> 6) * 8
-	return int64(unsafe.Sizeof(Index{})) + slots*ptrSize + mask
+	return int64(unsafe.Sizeof(Index{})) + ords*4 + mask
 }
 
 // treeSizeBytes measures the node graph once: Node structs, slice

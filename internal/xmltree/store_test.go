@@ -57,20 +57,13 @@ func diffIndexes(got, want *Index) string {
 	if !slices.Equal(got.AttrMask(), want.AttrMask()) {
 		return fmt.Sprintf("attribute mask %x, want %x", got.AttrMask(), want.AttrMask())
 	}
-	ords := func(l []*Node) []int {
-		out := make([]int, len(l))
-		for i, n := range l {
-			out[i] = int(n.Ord)
-		}
-		return out
-	}
-	lists := func(what string, got, want map[string][]*Node) string {
+	lists := func(what string, got, want map[string][]int32) string {
 		if len(got) != len(want) {
 			return fmt.Sprintf("%d %s names, want %d", len(got), what, len(want))
 		}
 		for name, w := range want {
-			if g := got[name]; !slices.Equal(ords(g), ords(w)) {
-				return fmt.Sprintf("%s %q: ords %v, want %v", what, name, ords(g), ords(w))
+			if g := got[name]; !slices.Equal(g, w) {
+				return fmt.Sprintf("%s %q: ords %v, want %v", what, name, g, w)
 			}
 		}
 		return ""
@@ -81,12 +74,12 @@ func diffIndexes(got, want *Index) string {
 	if msg := lists("attribute", got.attrsByName, want.attrsByName); msg != "" {
 		return msg
 	}
-	return lists("kind", map[string][]*Node{
+	return lists("kind", map[string][]int32{
 		"element": got.Elements(), "text": got.Texts(), "comment": got.Comments(),
-		"processing-instruction": got.ProcInsts(), "tree": got.TreeNodes(),
-	}, map[string][]*Node{
+		"processing-instruction": got.ProcInsts(),
+	}, map[string][]int32{
 		"element": want.Elements(), "text": want.Texts(), "comment": want.Comments(),
-		"processing-instruction": want.ProcInsts(), "tree": want.TreeNodes(),
+		"processing-instruction": want.ProcInsts(),
 	})
 }
 
@@ -136,38 +129,31 @@ func checkCoreAgainstTree(t *testing.T, d, view *Document) {
 		}
 	}
 	// Per-tag and per-attribute lists match a document-order scan.
-	tags := map[string][]int{}
-	attrs := map[string][]int{}
+	tags := map[string][]int32{}
+	attrs := map[string][]int32{}
 	for ord, n := range view.Nodes {
 		switch n.Type {
 		case ElementNode:
-			tags[n.Name] = append(tags[n.Name], ord)
+			tags[n.Name] = append(tags[n.Name], int32(ord))
 		case AttributeNode:
-			attrs[n.Name] = append(attrs[n.Name], ord)
+			attrs[n.Name] = append(attrs[n.Name], int32(ord))
 		}
-	}
-	ords := func(l []*Node) []int {
-		out := make([]int, len(l))
-		for i, n := range l {
-			out[i] = int(n.Ord)
-		}
-		return out
 	}
 	for tag, want := range tags {
-		if got := ords(ix.ElementsByTag(tag)); !slices.Equal(got, want) {
+		if got := ix.ElementsByTag(tag); !slices.Equal(got, want) {
 			t.Fatalf("ElementsByTag(%q) = %v, want %v", tag, got, want)
 		}
 	}
 	for name, want := range attrs {
-		if got := ords(ix.AttributesByName(name)); !slices.Equal(got, want) {
+		if got := ix.AttributesByName(name); !slices.Equal(got, want) {
 			t.Fatalf("AttributesByName(%q) = %v, want %v", name, got, want)
 		}
 	}
 	if got := ix.ElementsByTag("no-such-tag"); len(got) != 0 {
-		t.Fatalf("ElementsByTag(no-such-tag) = %v", ords(got))
+		t.Fatalf("ElementsByTag(no-such-tag) = %v", got)
 	}
 	if got := ix.AttributesByName("no-such-attr"); len(got) != 0 {
-		t.Fatalf("AttributesByName(no-such-attr) = %v", ords(got))
+		t.Fatalf("AttributesByName(no-such-attr) = %v", got)
 	}
 }
 
@@ -349,20 +335,23 @@ func TestStoreSizeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The document has 6 118 nodes. A pointer document's store is its
-	// node graph (the tree figure); a columnar document's resident
-	// figure adds the hydrated view (832 040 B). ResidentBytes adds the
-	// index's node lists and attribute mask (123 456 B) and, for a
-	// pointer document, its 12 B/node link core.
+	// The document has 6 118 nodes, 4 933 of them elements and
+	// attributes. A pointer document's store is its node graph (the
+	// tree figure); a columnar document's resident figure adds the
+	// hydrated view (832 040 B). ResidentBytes adds the index's per-kind
+	// ord lists and attribute mask (21 752 B with the struct) and, for a
+	// pointer document, the per-name ord lists of its link core
+	// (4 933 × 4 = 19 732 B; a columnar store counts its own) and its
+	// 12 B/node link arrays.
 	for _, c := range []struct {
-		name            string
-		doc             *Document
-		store, resident int64
+		name                   string
+		doc                    *Document
+		store, resident, index int64
 	}{
-		{"tree", d, 851360, 1048232},
-		{"compact", Compact(d), 205128, 1160624},
-		{"pointer parse", pd, 844992, 1041864},
-		{"columnar parse", cpd, 205128, 1160624},
+		{"tree", d, 851360, 966260, 41484},
+		{"compact", Compact(d), 205128, 1058920, 21752},
+		{"pointer parse", pd, 844992, 959892, 41484},
+		{"columnar parse", cpd, 205128, 1058920, 21752},
 	} {
 		before := c.doc.ResidentBytes()
 		c.doc.Index() // charged from the node-kind counts, built or not
@@ -372,8 +361,8 @@ func TestStoreSizeAccounting(t *testing.T) {
 		if got := c.doc.ResidentBytes(); got != c.resident || got != before {
 			t.Errorf("%s: ResidentBytes = %d (%d before the index), want %d", c.name, got, before, c.resident)
 		}
-		if got := c.doc.indexBytes(); got != 123456 {
-			t.Errorf("%s: index share = %d, want 123456", c.name, got)
+		if got := c.doc.indexBytes(); got != c.index {
+			t.Errorf("%s: index share = %d, want %d", c.name, got, c.index)
 		}
 		if c.doc.Backend() == BackendColumnar && c.doc.viewBytes != 832040 {
 			t.Errorf("%s: view = %d, want 832040", c.name, c.doc.viewBytes)
@@ -391,10 +380,11 @@ func TestStoreSizeAccounting(t *testing.T) {
 }
 
 // Every route into the link core hands the index the document's own
-// arrays without copying them again: a columnar view lends its store's,
-// a pointer parse its exact-size copy of the scan's. A pointer document
-// then drops its ord lists; a columnar store keeps them for the next
-// hydration. Either index matches the tree-built one.
+// arrays and ord lists without copying them again: a columnar view
+// lends its store's (the index's per-name lists are the store's), a
+// pointer parse its exact-size copy of the scan's links and the scan's
+// exact-size ord lists, kept once. Either index matches the tree-built
+// one.
 func TestIndexZeroCopyOnColumnar(t *testing.T) {
 	for name, d := range storeTestDocs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -406,8 +396,11 @@ func TestIndexZeroCopyOnColumnar(t *testing.T) {
 				&hix.parent[0] != &c.parent[0] {
 				t.Fatal("columnar-backed index did not share the store arrays")
 			}
-			if h.tagOrds == nil || h.Columnar() != c {
-				t.Fatal("columnar view lost its store or its ord lists")
+			if h.Columnar() != c {
+				t.Fatal("columnar view lost its store")
+			}
+			if msg := sharedOrdLists(hix, c.tagOrds, c.attrOrds); msg != "" {
+				t.Fatalf("columnar view: %s", msg)
 			}
 			if msg := diffIndexes(hix, d.Index()); msg != "" {
 				t.Fatalf("columnar view: %s", msg)
@@ -429,8 +422,15 @@ func TestIndexZeroCopyOnColumnar(t *testing.T) {
 				len(a.core), cap(a.core), n)
 		}
 	}
-	if p.tagOrds != nil || p.attrOrds != nil {
-		t.Fatal("pointer document kept its ord lists after indexing")
+	if msg := sharedOrdLists(ix, p.tagOrds, p.attrOrds); msg != "" {
+		t.Fatalf("pointer parse: %s", msg)
+	}
+	for _, lists := range []map[string][]int32{p.tagOrds, p.attrOrds} {
+		for name, l := range lists {
+			if cap(l) != len(l) {
+				t.Fatalf("pointer parse: ord list %q has capacity %d for %d ords", name, cap(l), len(l))
+			}
+		}
 	}
 	if p.Columnar() != nil {
 		t.Fatal("pointer document reports a columnar store")
@@ -438,6 +438,27 @@ func TestIndexZeroCopyOnColumnar(t *testing.T) {
 	if msg := diffIndexes(ix, p.Copy().Index()); msg != "" {
 		t.Fatalf("pointer parse: %s", msg)
 	}
+}
+
+// sharedOrdLists describes the first per-name list of ix that is not
+// the very slice its link core holds in tags or attrs (same backing,
+// same length), or returns "".
+func sharedOrdLists(ix *Index, tags, attrs map[string][]int32) string {
+	for _, c := range []struct {
+		what      string
+		got, core map[string][]int32
+	}{{"tag", ix.elemsByTag, tags}, {"attribute", ix.attrsByName, attrs}} {
+		if len(c.got) != len(c.core) {
+			return fmt.Sprintf("%d %s lists, the core has %d", len(c.got), c.what, len(c.core))
+		}
+		for name, l := range c.core {
+			g := c.got[name]
+			if len(g) != len(l) || len(l) > 0 && &g[0] != &l[0] {
+				return fmt.Sprintf("%s list %q is a copy of the core's", c.what, name)
+			}
+		}
+	}
+	return ""
 }
 
 // Hydration, indexing and size accounting must be safe under

@@ -13,7 +13,10 @@
 //     used, which moves Core XPath queries with harmless predicate
 //     sequences into the pWF/pXPath shape the nauxpda engine accepts;
 //   - EliminateDoubleNegation: not(not(e)) ⇒ boolean(e), shrinking the
-//     negation depth that Theorems 5.9/6.3 bound.
+//     negation depth that Theorems 5.9/6.3 bound;
+//   - SplitPositionalConjunctions: the inverse of Remark 5.2 —
+//     χ::t[a and p] ⇒ χ::t[p][a] when only p uses position() or last(),
+//     so the positional part ranks the step's list by itself.
 //
 // All rewrites build fresh AST nodes (inputs are never mutated) and each
 // is verified against the evaluation engines on randomized queries.
@@ -241,6 +244,74 @@ func foldable(preds []ast.Expr) bool {
 		}
 	}
 	return true
+}
+
+// SplitPositionalConjunctions rewrites every predicate e1 and e2 of
+// which exactly one side, p, uses position() or last() into the
+// predicate pair [p][a], a being the other side; a conjunction chain
+// splits into its positional part followed by each position-free
+// conjunct. Both forms evaluate p against the same list (the step's
+// list as filtered by the predicates before it) with the same
+// positions and size, and a position-free conjunct does not care which
+// list it filters, so the result is the same. Neither side may be
+// number-typed: as a predicate of its own a number is a positional
+// shorthand, while under "and" it is a truth value. Remark 5.2's fold
+// merges only position-free predicates, so it never undoes the split.
+// The split lets an engine rank with the positional predicate alone
+// (the VM's fused positional step) and filter afterwards. It reports
+// whether anything changed.
+func SplitPositionalConjunctions(e ast.Expr) (ast.Expr, bool) {
+	changed := false
+	var walk func(e ast.Expr) ast.Expr
+	walk = func(e ast.Expr) ast.Expr {
+		switch x := e.(type) {
+		case *ast.Path:
+			out := &ast.Path{Absolute: x.Absolute}
+			for _, s := range x.Steps {
+				ns := &ast.Step{Axis: s.Axis, Test: s.Test}
+				for _, p := range s.Preds {
+					split := splitConjunction(walk(p))
+					changed = changed || len(split) > 1
+					ns.Preds = append(ns.Preds, split...)
+				}
+				out.Steps = append(out.Steps, ns)
+			}
+			return out
+		case *ast.Binary:
+			return &ast.Binary{Op: x.Op, Left: walk(x.Left), Right: walk(x.Right)}
+		case *ast.Unary:
+			return &ast.Unary{Operand: walk(x.Operand)}
+		case *ast.Call:
+			args := make([]ast.Expr, len(x.Args))
+			for i, a := range x.Args {
+				args[i] = walk(a)
+			}
+			return &ast.Call{Name: x.Name, Args: args}
+		default:
+			return copyExpr(e)
+		}
+	}
+	return walk(e), changed
+}
+
+// splitConjunction returns the predicate sequence equivalent to the
+// single predicate p: [pos][free] for a conjunction whose side pos
+// alone uses position() or last() (pos split further the same way),
+// [p] otherwise.
+func splitConjunction(p ast.Expr) []ast.Expr {
+	b, ok := p.(*ast.Binary)
+	if !ok || b.Op != ast.OpAnd ||
+		ast.StaticType(b.Left) == ast.TypeNumber || ast.StaticType(b.Right) == ast.TypeNumber {
+		return []ast.Expr{p}
+	}
+	pos, free := b.Left, b.Right
+	if ast.UsesPositionOrLast(free) {
+		pos, free = free, pos
+	}
+	if !ast.UsesPositionOrLast(pos) || ast.UsesPositionOrLast(free) {
+		return []ast.Expr{p}
+	}
+	return append(splitConjunction(pos), free)
 }
 
 // EliminateDoubleNegation removes not(not(e)) pairs, wrapping the inner

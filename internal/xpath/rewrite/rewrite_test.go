@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -157,6 +158,94 @@ func TestFoldPreservesSemantics(t *testing.T) {
 	}
 	if checked < 30 {
 		t.Fatalf("only %d foldable queries generated", checked)
+	}
+}
+
+func TestSplitPositionalConjunctions(t *testing.T) {
+	cases := []struct {
+		in, want string
+		changed  bool
+	}{
+		{"//a[b and position() = last()]",
+			"/descendant-or-self::node()/child::a[position() = last()][child::b]", true},
+		{"a[position() = 1 and b]", "child::a[position() = 1][child::b]", true},
+		// A chain splits into its positional part and each free conjunct.
+		{"a[b and position() < 3 and c]", "child::a[position() < 3][child::b][child::c]", true},
+		{"a[last() > 2 and b and c]", "child::a[last() > 2][child::b][child::c]", true},
+		// Later predicates and nested paths split in place.
+		{"a[b][c and position() = 2]", "child::a[child::b][position() = 2][child::c]", true},
+		{"a[b[c and position() = 1]]", "child::a[child::b[position() = 1][child::c]]", true},
+		{"a[not(b[c and last() = 2])]", "child::a[not(child::b[last() = 2][child::c])]", true},
+		// Both sides positional, or neither: nothing to split.
+		{"a[position() = 1 and last() = 2]", "child::a[(position() = 1) and (last() = 2)]", false},
+		{"a[b and c]", "child::a[child::b and child::c]", false},
+		// A disjunction does not split.
+		{"a[b or position() = 1]", "child::a[child::b or (position() = 1)]", false},
+		// Number-typed sides keep the conjunction: alone they would be
+		// positional shorthands.
+		{"a[count(b) and position() = 1]", "child::a[count(child::b) and (position() = 1)]", false},
+		{"a[b and last()]", "child::a[child::b and last()]", false},
+		// position() inside a nested path's predicate makes the side
+		// count as positional (conservatively).
+		{"a[b[position() = 1] and position() = 2]", "child::a[child::b[position() = 1] and (position() = 2)]", false},
+	}
+	for _, tc := range cases {
+		got, changed := SplitPositionalConjunctions(parser.MustParse(tc.in))
+		if got.String() != tc.want || changed != tc.changed {
+			t.Errorf("Split(%q) = %q (changed=%v), want %q (changed=%v)",
+				tc.in, got.String(), changed, tc.want, tc.changed)
+		}
+		// Remark 5.2's fold never undoes the split.
+		if refolded, _ := FoldIteratedPredicates(got); refolded.String() != got.String() {
+			t.Errorf("Fold(Split(%q)) = %q, undoing the split %q", tc.in, refolded, got)
+		}
+	}
+}
+
+// The split is checked against cvt on random documents, over generated
+// positional queries wrapped as t[q and position() = k] or
+// t[last() > k and q], and inside not().
+func TestSplitPreservesSemantics(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	gen := enginetest.NewQueryGen(rng, enginetest.GenFull)
+	checked := 0
+	for trial := 0; trial < 400; trial++ {
+		tag := gen.Tags[rng.Intn(len(gen.Tags))]
+		var q string
+		switch trial % 4 {
+		case 0:
+			q = fmt.Sprintf("//%s[%s and position() = %d]", tag, gen.Query(), 1+rng.Intn(3))
+		case 1:
+			q = fmt.Sprintf("//%s[last() > %d and %s]", tag, rng.Intn(3), gen.Query())
+		case 2:
+			q = fmt.Sprintf("//%s[not(%s[%s and position() = last()])]", tag, tag, gen.Query())
+		default:
+			q = fmt.Sprintf("//%s[%s][position() != 2 and %s and %s]", tag, gen.Query(), gen.Query(), gen.Query())
+		}
+		orig, err := parser.Parse(q)
+		if err != nil {
+			continue
+		}
+		rewritten, changed := SplitPositionalConjunctions(orig)
+		if !changed {
+			continue
+		}
+		checked++
+		doc := xmltree.RandomDocument(rng, xmltree.GenConfig{
+			Nodes: 24, MaxFanout: 4, Tags: []string{"a", "b", "c"},
+		})
+		ctx := evalctx.Root(doc)
+		want, err1 := cvt.Evaluate(orig, ctx, nil)
+		got, err2 := cvt.Evaluate(rewritten, ctx, nil)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("errors on %q: %v / %v", q, err1, err2)
+		}
+		if !value.Equal(want, got) {
+			t.Fatalf("split changed semantics on %q → %s", q, rewritten)
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("only %d splittable queries generated", checked)
 	}
 }
 
