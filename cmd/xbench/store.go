@@ -74,11 +74,17 @@ type storeReport struct {
 }
 
 // storePairs is the number of back-to-back pointer/columnar timing
-// pairs behind each eval row, and storeSample the wall time of one
-// side of a pair.
+// pairs behind each eval row, storeSample the wall time of one side of
+// a pair, and storeAllocRuns the evaluations each allocs/op figure
+// averages. The first 20-run count after the timing loop now and then
+// reads one allocation per op high, on either backend (20 stray
+// allocations, such as scratch regrown after a collection); averaging
+// 500 runs, as a benchmark loop's b.N does, keeps such one-off
+// allocations below the truncation.
 const (
-	storePairs  = 9
-	storeSample = 20 * time.Millisecond
+	storePairs     = 9
+	storeSample    = 20 * time.Millisecond
+	storeAllocRuns = 500
 )
 
 // storeOverhead times eval on the two backends as storePairs pairs run
@@ -188,8 +194,8 @@ func expStore(seed int64) {
 		row := storeEvalRow{
 			Workload: w.name, Engine: w.engine.String(), Query: w.query, Nodes: len(pd.Nodes),
 			PointerNsPerOp: pns, ColumnarNsPerOp: cns,
-			PointerAllocs:  int64(testing.AllocsPerRun(20, peval)),
-			ColumnarAllocs: int64(testing.AllocsPerRun(20, ceval)),
+			PointerAllocs:  int64(testing.AllocsPerRun(storeAllocRuns, peval)),
+			ColumnarAllocs: int64(testing.AllocsPerRun(storeAllocRuns, ceval)),
 			OverheadMinPct: overheads[0], OverheadPct: overheads[storePairs/2],
 			OverheadMaxPct: overheads[storePairs-1], Samples: storePairs,
 		}

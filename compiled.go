@@ -38,26 +38,15 @@ type Compiled struct {
 	vmIneligible string
 }
 
-// bind builds the engine-bound plan for a compiled query: it splits
-// positional conjunctions, collapses '//' steps, folds iterated
-// predicates (Remark 5.2: χ::t[e1][e2] ≡ χ::t[e1 and e2] when
-// position-free) when the folded form classifies into a fragment with a
-// cheaper recommended engine, then resolves EngineAuto's choice.
+// bind builds the engine-bound plan for a compiled query: it collapses
+// '//' steps, folds iterated predicates (Remark 5.2: χ::t[e1][e2] ≡
+// χ::t[e1 and e2] when position-free) when the folded form classifies
+// into a fragment with a cheaper recommended engine, then resolves
+// EngineAuto's choice. The VM lowering of the plan additionally splits
+// positional conjunctions (compileVM); that split stays out of the
+// plan, which every engine shares.
 func bind(q *Query) *Compiled {
 	plan, cls, rewritten := q.Expr, q.Class, false
-	// Split t[a and p] into t[p][a] when only p uses position() or
-	// last(), the inverse of the Remark 5.2 fold below (which merges
-	// only position-free predicates, so it leaves the split alone): the
-	// positional predicate then ranks the step's list by itself, which
-	// the VM runs as one fused positional step. A plan the VM cannot run
-	// either way keeps its conjunction for the tree engines.
-	if cls.Features.UsesPositionLast {
-		if split, changed := rewrite.SplitPositionalConjunctions(plan); changed {
-			if _, err := vm.Compile(split); err == nil {
-				plan, cls, rewritten = split, fragment.Classify(split), true
-			}
-		}
-	}
 	// Collapse '//' step pairs into single descendant steps so the
 	// engines see tag-targeted steps instead of whole-tree node()
 	// frontiers; the rewrite guards itself against positional
@@ -168,11 +157,10 @@ func (c *Compiled) EvalOptions(ctx Context, opts EvalOptions) (Value, error) {
 
 // VMProgram returns the bytecode EngineVM runs for this query —
 // compiled from the rewritten plan (descendant-step collapse,
-// predicate folds) and peephole optimized — or the compile error when
-// the plan falls outside the VM's fragment. Callers get the exact
-// production program, bit-for-bit; harnesses that need variant
-// lowerings (fusion or peephole disabled) compile the plan themselves
-// with vm.CompileWith.
+// predicate folds) with its positional conjunctions split, and
+// peephole optimized — or the compile error when the plan falls
+// outside the VM's fragment. Callers get the exact production program,
+// bit-for-bit.
 func (c *Compiled) VMProgram() (*vm.Program, error) {
 	return c.planQuery.vmProgram()
 }

@@ -5,6 +5,9 @@ import (
 
 	"xpathcomplexity/internal/eval/enginetest"
 	"xpathcomplexity/internal/obs/flight"
+	"xpathcomplexity/internal/value"
+	"xpathcomplexity/internal/vm"
+	"xpathcomplexity/internal/xpath/rewrite"
 )
 
 // TestAutoSelectionSinglePath: EngineAuto has one resolution, the
@@ -109,6 +112,59 @@ func TestAutoSelectionSinglePath(t *testing.T) {
 	for _, e := range []string{"streaming", "vm", "cvt"} {
 		if engines[e] == 0 {
 			t.Errorf("no row bound to %s; engines: %v", e, engines)
+		}
+	}
+}
+
+// TestPreparedPositionalSplitEveryEngine: the VM lowers t[a and p] as
+// t[p][a], but the prepared plan keeps the conjunction, so an explicit
+// engine on a prepared query still sees the conjunction. nauxpda
+// rejects iterated positional predicates; it must evaluate these plans
+// and agree with the bound VM, as must every other tree engine.
+func TestPreparedPositionalSplitEveryEngine(t *testing.T) {
+	d, err := ParseDocumentString(`<site><open_auctions>` +
+		`<open_auction id="1"><bidder/><seller/></open_auction>` +
+		`<open_auction id="2"><seller/></open_auction>` +
+		`<open_auction id="3"><bidder/><bidder/></open_auction>` +
+		`<open_auction id="4"/>` +
+		`</open_auctions></site>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := RootContext(d)
+	for _, query := range []string{
+		"//open_auction[bidder and position() = last()]",
+		"//open_auction[position() < 3 and seller]",
+		"//open_auctions[not(open_auction[bidder and position() = 2])]",
+	} {
+		c := MustPrepare(query)
+		if c.Bound != EngineVM {
+			t.Fatalf("%s: bound %s, want vm", query, c.Bound)
+		}
+		split, changed := rewrite.SplitPositionalConjunctions(c.planQuery.Expr)
+		if !changed {
+			t.Fatalf("%s: the split leaked into the shared plan %s", query, c.planQuery.Expr.String())
+		}
+		prog, _ := c.VMProgram()
+		want, err := vm.Compile(split)
+		if err != nil {
+			t.Fatalf("%s: split form does not compile: %v", query, err)
+		}
+		if prog.Disassemble() != want.Disassemble() {
+			t.Fatalf("%s: VM program is not the split lowering:\n%s\nwant\n%s", query, prog.Disassemble(), want.Disassemble())
+		}
+		auto, err := c.Eval(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []Engine{EngineNaive, EngineCVT, EngineCoreLinear, EngineNAuxPDA} {
+			v, err := c.EvalOptions(ctx, EvalOptions{Engine: e, NegationBound: 8})
+			if err != nil {
+				t.Fatalf("%s: prepared plan on %s: %v", query, e, err)
+			}
+			if !value.Equal(v, auto) {
+				t.Fatalf("%s: %s = %s, vm = %s", query, e, canonValue(v), canonValue(auto))
+			}
 		}
 	}
 }

@@ -35,8 +35,8 @@ func nauxpdaOutside(err error) bool {
 
 // splitShape wraps generated queries in a conjunction with position()
 // or last(), by itself, nested in another step's predicate, under not()
-// and after an earlier predicate: the shapes bind splits into
-// positional and position-free predicates.
+// and after an earlier predicate: the shapes the VM lowering splits
+// into positional and position-free predicates.
 func splitShape(rng *rand.Rand, gen *enginetest.QueryGen, i int) string {
 	tag := gen.Tags[rng.Intn(len(gen.Tags))]
 	k := 1 + rng.Intn(3)
@@ -61,8 +61,8 @@ func splitShape(rng *rand.Rand, gen *enginetest.QueryGen, i int) string {
 // The seed corpus covers PF, positive Core, Core, pWF, full-XPath and
 // positional profiles, so a plain `go test` run already exercises all
 // engines on all profiles. Profiles 6-11 wrap the generated queries in
-// positional conjunctions (splitShape), the predicates the plan's
-// t[a and p] ⇒ t[p][a] split rewrites.
+// positional conjunctions (splitShape), the predicates the VM lowering
+// splits t[a and p] ⇒ t[p][a].
 func FuzzDifferentialEngines(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(10))  // PF
 	f.Add(int64(2), uint8(1), uint8(25))  // positive core
@@ -148,7 +148,7 @@ func FuzzDifferentialEngines(f *testing.F) {
 					{"vm-unfused", vm.Options{DisableFusion: true}},
 					{"vm-peephole-off", vm.Options{DisablePeephole: true}},
 				} {
-					prog, err := vm.CompileWith(q.Expr, alt.opts)
+					prog, err := compileVM(q.Expr, alt.opts)
 					if err != nil {
 						t.Fatalf("query %q: default bytecode compiled but %s did not: %v", qs, alt.name, err)
 					}
@@ -159,8 +159,11 @@ func FuzzDifferentialEngines(f *testing.F) {
 					got = append(got, res{alt.name, v})
 				}
 			}
-			if v, err := q.EvalOptions(ctx, EvalOptions{Engine: EngineNAuxPDA, NegationBound: 8}); err == nil {
+			nauxpdaOpts := EvalOptions{Engine: EngineNAuxPDA, NegationBound: 8}
+			nauxpdaAccepts := false
+			if v, err := q.EvalOptions(ctx, nauxpdaOpts); err == nil {
 				got = append(got, res{"nauxpda", v})
+				nauxpdaAccepts = true
 			} else if !nauxpdaOutside(err) {
 				t.Fatalf("profile %v query %q: nauxpda failed outside the fragment checks: %v", prof, qs, err)
 			}
@@ -227,10 +230,22 @@ func FuzzDifferentialEngines(f *testing.F) {
 			if cw, cc := canonValue(warm), canonValue(cold); cw != cc {
 				t.Fatalf("query %q: warm %s != cold %s", qs, cw, cc)
 			}
-			// The engine-bound plan (split, collapsed, folded) agrees with
+			// The engine-bound plan (collapsed, folded) agrees with
 			// the engines' vote on the query as written.
 			if !value.Equal(got[0].v, cold) {
 				t.Fatalf("query %q: plan %s != %s %s", qs, canonValue(cold), got[0].engine, canonValue(got[0].v))
+			}
+			// An engine pinned on the prepared plan runs that plan: the
+			// rewrites must keep it inside the fragment nauxpda accepted
+			// the query as written in.
+			if nauxpdaAccepts {
+				v, err := c.EvalOptions(ctx, nauxpdaOpts)
+				if err != nil {
+					t.Fatalf("query %q: nauxpda accepts the query but not its prepared plan: %v", qs, err)
+				}
+				if !value.Equal(got[0].v, v) {
+					t.Fatalf("query %q: prepared plan on nauxpda %s != %s %s", qs, canonValue(v), got[0].engine, canonValue(got[0].v))
+				}
 			}
 
 			// Cache arm: a result served through the shared result cache —

@@ -80,10 +80,10 @@ func indexSpan(ix *xmltree.Index, a ast.Axis, t ast.NodeTest, o int32) (span, bo
 	return s, true
 }
 
-// each calls f for every ord of the span: in document order, except
-// for preceding (anchor >= 0), which runs backwards so that the walk up
-// the anchor's parent chain meets each ancestor exactly where the scan
-// would reach it.
+// each calls f for every ord of the span in proximity order: document
+// order, except for preceding (anchor >= 0), which runs backwards so
+// that the walk up the anchor's parent chain meets each ancestor
+// exactly where the scan would reach it.
 func (s span) each(ix *xmltree.Index, f func(o int32)) {
 	if s.anchor < 0 {
 		if !s.all {
@@ -122,6 +122,20 @@ func (s span) each(ix *xmltree.Index, f func(o int32)) {
 	}
 }
 
+// appendNodes appends the span's nodes (Document.Nodes[ord]) to dst in
+// proximity order, or in document order when docOrder is set: each
+// emits proximity order, so only preceding in document order reverses,
+// once.
+func (s span) appendNodes(dst []*xmltree.Node, ix *xmltree.Index, docOrder bool) []*xmltree.Node {
+	nodes := ix.Doc().Nodes
+	start := len(dst)
+	s.each(ix, func(o int32) { dst = append(dst, nodes[o]) })
+	if docOrder && s.anchor >= 0 {
+		slices.Reverse(dst[start:])
+	}
+	return dst
+}
+
 // AppendSelectOrds appends to dst, in document order, the ords that
 // axis::test selects from the context ord o, and reports whether the
 // index serves the step: descendant and descendant-or-self (a subtree
@@ -147,24 +161,15 @@ func AppendSelectOrds(dst []int32, ix *xmltree.Index, a ast.Axis, t ast.NodeTest
 }
 
 // AppendSelectFast is AppendSelectOrds for a tree engine: it appends the
-// selected nodes (Document.Nodes[ord]) in document order, the context
-// node first when descendant-or-self's test matches it. It allocates
-// nothing beyond growing dst.
+// selected nodes (Document.Nodes[ord]) in document order, under the
+// same rule (the context node left out, for descendant-or-self callers
+// to add). It allocates nothing beyond growing dst.
 func AppendSelectFast(dst []*xmltree.Node, ix *xmltree.Index, a ast.Axis, t ast.NodeTest, n *xmltree.Node) ([]*xmltree.Node, bool) {
 	s, ok := indexSpan(ix, a, t, n.Ord)
 	if !ok {
 		return dst, false
 	}
-	if a == ast.AxisDescendantOrSelf && MatchTest(a, n, t) {
-		dst = append(dst, n)
-	}
-	nodes := ix.Doc().Nodes
-	start := len(dst)
-	s.each(ix, func(o int32) { dst = append(dst, nodes[o]) })
-	if s.anchor >= 0 {
-		slices.Reverse(dst[start:])
-	}
-	return dst, true
+	return s.appendNodes(dst, ix, true), true
 }
 
 // AppendSelectProximity appends the axis::test selection from n to dst in
@@ -172,12 +177,11 @@ func AppendSelectFast(dst []*xmltree.Node, ix *xmltree.Index, a ast.Axis, t ast.
 // recycle their own buffers (ix may be nil for the unindexed walk).
 func AppendSelectProximity(dst []*xmltree.Node, ix *xmltree.Index, a ast.Axis, t ast.NodeTest, n *xmltree.Node) []*xmltree.Node {
 	if ix != nil {
-		start := len(dst)
-		if sel, ok := AppendSelectFast(dst, ix, a, t, n); ok {
-			if a.IsReverse() {
-				slices.Reverse(sel[start:])
+		if s, ok := indexSpan(ix, a, t, n.Ord); ok {
+			if a == ast.AxisDescendantOrSelf && MatchTest(a, n, t) {
+				dst = append(dst, n)
 			}
-			return sel
+			return s.appendNodes(dst, ix, false)
 		}
 	}
 	return appendSelectProximity(dst, a, t, n)

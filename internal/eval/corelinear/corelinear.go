@@ -572,6 +572,9 @@ func (e *evaluator) selectSparse(a ast.Axis, t ast.NodeTest, list, out []*xmltre
 		// whole selection (itself included, for descendant-or-self) lies
 		// inside its covering ancestor's subtree slice.
 		for _, n := range e.pruneNested(list) {
+			if a == ast.AxisDescendantOrSelf && axes.MatchTest(a, n, t) {
+				out = append(out, n)
+			}
 			var ok bool
 			if out, ok = axes.AppendSelectFast(out, e.idx, a, t, n); !ok {
 				return nil, false

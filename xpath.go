@@ -363,9 +363,29 @@ type Query struct {
 // or the memoized rejection.
 func (q *Query) vmProgram() (*vm.Program, error) {
 	q.vmOnce.Do(func() {
-		q.vmProg, q.vmErr = vm.Compile(q.Expr)
+		q.vmProg, q.vmErr = compileVM(q.Expr, vm.Options{})
 	})
 	return q.vmProg, q.vmErr
+}
+
+// compileVM lowers expr to bytecode. A predicate t[a and p] whose side
+// p alone uses position() or last() is lowered as t[p][a]
+// (rewrite.SplitPositionalConjunctions), so p ranks the step's list by
+// itself and the VM runs it as one fused positional step. The split is
+// the VM's alone: iterated positional predicates leave pWF, so the tree
+// engines (nauxpda above all) keep evaluating the conjunction. When the
+// split form does not compile, the query is lowered as written. A query
+// without position() or last() skips the rewrite, which copies the
+// whole AST.
+func compileVM(expr ast.Expr, opts vm.Options) (*vm.Program, error) {
+	if ast.UsesPositionOrLast(expr) {
+		if split, changed := rewrite.SplitPositionalConjunctions(expr); changed {
+			if prog, err := vm.CompileWith(split, opts); err == nil {
+				return prog, nil
+			}
+		}
+	}
+	return vm.CompileWith(expr, opts)
 }
 
 // streamProgram lowers the query to the streaming NFA, once.
